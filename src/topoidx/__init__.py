@@ -12,7 +12,6 @@ from .graph import (
     FamilySpec,
     Graph,
     bfs_distances,
-    build_graph,
     family_names,
     generate,
     generate_family,
@@ -31,7 +30,6 @@ __all__ = [
     "TopoidxError",
     "all_index_names",
     "bfs_distances",
-    "build_graph",
     "evaluate",
     "family_names",
     "generate",

@@ -21,9 +21,9 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import TopoidxError
-from .exact import ExpPoly
-from .functionals import SOURCES, vertex_table
+from .errors import DivisionByZero, TopoidxError
+from .exact import ExpPoly, parse_rat, render_value
+from .functionals import SOURCES, VERTEX_TABLES, vertex_table
 from .graph import FamilySpec, dumps, generate, read_graph
 from .indices import Descriptor, all_index_names, describe, evaluate, lookup
 from .oracles import (
@@ -34,24 +34,10 @@ from .oracles import (
 )
 
 
-def _render_value(value) -> str:
-    if isinstance(value, ExpPoly):
-        return value.render()
-    if isinstance(value, float):
-        return f"~{value!r}"
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _approx(value) -> str:
     if isinstance(value, ExpPoly):
         return ""
     return f"{float(value):.12g}"
-
-
-def _parse_rat(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
 
 
 def cmd_gen(args) -> int:
@@ -82,7 +68,7 @@ def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
         except TopoidxError as exc:
             rows.append((graph_label, label, f"ERROR:{type(exc).__name__}", ""))
             continue
-        rows.append((graph_label, label, _render_value(value), _approx(value) if float_out else ""))
+        rows.append((graph_label, label, render_value(value), _approx(value) if float_out else ""))
     rows.sort(key=lambda r: r[1])
     return rows
 
@@ -208,6 +194,13 @@ def _range_arg(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
+def _rat_arg(text: str) -> Fraction:
+    try:
+        return parse_rat(text)
+    except (ValueError, DivisionByZero):
+        raise argparse.ArgumentTypeError(f"expected a rational such as 3 or -2/3, got {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="topoidx",
@@ -231,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="add a 12-significant-digit float column")
     p_compute.add_argument("--degree", choices=SOURCES,
                            help="override the functional source of the named indices")
-    p_compute.add_argument("--general-a", type=_parse_rat, default=Fraction(2),
+    p_compute.add_argument("--general-a", type=_rat_arg, default=Fraction(2),
                            metavar="RAT",
                            help="power used for general-transform entries without "
                                 "an inline parameter (default 2)")
@@ -255,8 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fun = sub.add_parser("functionals", help="per-vertex functional values as CSV")
     p_fun.add_argument("graph", help="edge-list file")
-    p_fun.add_argument("--source", choices=tuple(s for s in SOURCES if s != "banhatti")
-                       + ("closeness", "cl"), default="plain")
+    p_fun.add_argument("--source", choices=tuple(VERTEX_TABLES), default="plain")
     p_fun.set_defaults(func=cmd_functionals)
 
     return parser

@@ -34,6 +34,12 @@ def rat(num, den=1) -> Rat:
         raise DivisionByZero(f"rational {num}/{den}") from exc
 
 
+def parse_rat(text: str) -> Rat:
+    """Parse ``num`` or ``num/den``; a zero denominator raises DivisionByZero."""
+    num, _, den = text.partition("/")
+    return rat(int(num), int(den) if den else 1)
+
+
 def rat_pow(base: RatLike, k: int) -> Rat:
     """Exact integer power of a rational; 0 to a negative power is an error."""
     if k < 0 and base == 0:
@@ -225,3 +231,13 @@ class ExpPoly:
             coeff, num, den = match.groups()
             terms.append((Fraction(int(num), int(den) if den else 1), int(coeff)))
         return cls(terms)
+
+
+def render_value(value) -> str:
+    """Canonical text of an index value: ``num/den``, a polynomial, or ``~float``."""
+    if isinstance(value, ExpPoly):
+        return value.render()
+    if isinstance(value, float):
+        return f"~{value!r}"
+    value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"

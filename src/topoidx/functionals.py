@@ -208,26 +208,28 @@ def domination_degrees_bruteforce(g: Graph) -> tuple[int, ...]:
 # --- dispatch ---------------------------------------------------------------
 
 
+# Vertex-valued source -> table builder (every source but banhatti, plus the
+# closeness and CL tables of the standalone indices).
+VERTEX_TABLES = {
+    "plain": plain_degrees,
+    "revan": revan_degrees,
+    "domination": domination_degrees,
+    "temperature": temperatures,
+    "kv": kv_products,
+    "nbd": neighbor_degree_sums,
+    "closeness": closeness,
+    "cl": cl_degrees,
+}
+
+
 @lru_cache(maxsize=512)
 def vertex_table(g: Graph, source: str) -> tuple:
     """Per-vertex values for any vertex-valued source (not banhatti)."""
-    if source == "plain":
-        return plain_degrees(g)
-    if source == "revan":
-        return revan_degrees(g)
-    if source == "temperature":
-        return temperatures(g)
-    if source == "domination":
-        return domination_degrees(g)
-    if source == "kv":
-        return kv_products(g)
-    if source == "nbd":
-        return neighbor_degree_sums(g)
-    if source == "closeness":
-        return closeness(g)
-    if source == "cl":
-        return cl_degrees(g)
-    raise ValueError(f"unknown vertex-valued source {source!r}")
+    try:
+        build = VERTEX_TABLES[source]
+    except KeyError:
+        raise ValueError(f"unknown vertex-valued source {source!r}") from None
+    return build(g)
 
 
 def edge_endpoint_values(g: Graph, source: str):

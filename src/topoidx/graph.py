@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
-    DisconnectedGraph,
     GraphFileError,
     InvalidFamilyParams,
     SelfLoop,
@@ -73,11 +72,6 @@ class Graph:
         return census
 
 
-def build_graph(n: int, edge_list: Iterable[tuple[int, int]]) -> Graph:
-    """Deduplicating constructor for user-supplied edge lists."""
-    return Graph(n, edge_list)
-
-
 def bfs_distances(g: Graph, source: int) -> list:
     """Hop distances from ``source``; unreachable vertices get None."""
     if not (0 <= source < g.n):
@@ -98,11 +92,6 @@ def is_connected(g: Graph) -> bool:
     if g.n <= 1:
         return True
     return all(d is not None for d in bfs_distances(g, 0))
-
-
-def require_connected(g: Graph) -> None:
-    if not is_connected(g):
-        raise DisconnectedGraph(f"{g!r} is not connected")
 
 
 # --- family generators -----------------------------------------------------
@@ -168,6 +157,10 @@ def _gen_french_windmill(n: int, m: int) -> Graph:
 
 
 def _gen_regular(n: int, r: int) -> Graph:
+    if r >= n:
+        raise InvalidFamilyParams(f"regular requires r < n, got r={r}, n={n}")
+    if (n * r) % 2 != 0:
+        raise InvalidFamilyParams(f"regular requires n*r even, got n={n}, r={r}")
     # Circulant with jumps 1..r/2; an odd r additionally needs n even and
     # uses the diameter chord i <-> i+n/2.
     edges = []
@@ -178,22 +171,19 @@ def _gen_regular(n: int, r: int) -> Graph:
     return Graph(n, edges)
 
 
-def _positive(name, value, minimum):
-    if value < minimum:
-        raise InvalidFamilyParams(f"{name} requires parameter >= {minimum}, got {value}")
-
-
+# family -> (parameter names, minimum of each parameter or None, builder).
+# The regular builder checks r < n and n*r even itself.
 _FAMILIES = {
-    "regular": ("n", "r"),
-    "cycle": ("n",),
-    "path": ("n",),
-    "complete": ("n",),
-    "complete_bipartite": ("m", "n"),
-    "star": ("n",),
-    "double_star": ("p", "q"),
-    "wheel": ("n",),
-    "sunflower": ("n",),
-    "french_windmill": ("n", "m"),
+    "regular": (("n", "r"), (None, 1), _gen_regular),
+    "cycle": (("n",), (3,), _gen_cycle),
+    "path": (("n",), (2,), _gen_path),
+    "complete": (("n",), (1,), _gen_complete),
+    "complete_bipartite": (("m", "n"), (1, 1), _gen_complete_bipartite),
+    "star": (("n",), (1,), _gen_star),
+    "double_star": (("p", "q"), (1, 1), _gen_double_star),
+    "wheel": (("n",), (3,), _gen_wheel),
+    "sunflower": (("n",), (3,), _gen_sunflower),
+    "french_windmill": (("n", "m"), (3, 3), _gen_french_windmill),
 }
 
 
@@ -208,7 +198,7 @@ class FamilySpec:
         if self.family not in _FAMILIES:
             known = ", ".join(sorted(_FAMILIES))
             raise InvalidFamilyParams(f"unknown family {self.family!r} (known: {known})")
-        expected = _FAMILIES[self.family]
+        expected = self.param_names
         if len(self.params) != len(expected):
             raise InvalidFamilyParams(
                 f"{self.family} takes parameters {expected}, got {self.params}"
@@ -216,67 +206,21 @@ class FamilySpec:
 
     @property
     def param_names(self) -> tuple[str, ...]:
-        return _FAMILIES[self.family]
+        return _FAMILIES[self.family][0]
 
     def label(self) -> str:
         inner = ",".join(f"{k}={v}" for k, v in zip(self.param_names, self.params))
         return f"{self.family}({inner})"
 
-    def build(self) -> Graph:
-        return generate(self)
-
 
 def generate(spec: FamilySpec) -> Graph:
     """Build the family member, enforcing each family's parameter range."""
-    family, params = spec.family, spec.params
-    if family == "cycle":
-        (n,) = params
-        _positive("cycle", n, 3)
-        return _gen_cycle(n)
-    if family == "path":
-        (n,) = params
-        _positive("path", n, 2)
-        return _gen_path(n)
-    if family == "complete":
-        (n,) = params
-        _positive("complete", n, 1)
-        return _gen_complete(n)
-    if family == "complete_bipartite":
-        m, n = params
-        _positive("complete_bipartite m", m, 1)
-        _positive("complete_bipartite n", n, 1)
-        return _gen_complete_bipartite(m, n)
-    if family == "star":
-        (n,) = params
-        _positive("star", n, 1)
-        return _gen_star(n)
-    if family == "double_star":
-        p, q = params
-        _positive("double_star p", p, 1)
-        _positive("double_star q", q, 1)
-        return _gen_double_star(p, q)
-    if family == "wheel":
-        (n,) = params
-        _positive("wheel", n, 3)
-        return _gen_wheel(n)
-    if family == "sunflower":
-        (n,) = params
-        _positive("sunflower", n, 3)
-        return _gen_sunflower(n)
-    if family == "french_windmill":
-        n, m = params
-        _positive("french_windmill n", n, 3)
-        _positive("french_windmill m", m, 3)
-        return _gen_french_windmill(n, m)
-    if family == "regular":
-        n, r = params
-        _positive("regular r", r, 1)
-        if r >= n:
-            raise InvalidFamilyParams(f"regular requires r < n, got r={r}, n={n}")
-        if (n * r) % 2 != 0:
-            raise InvalidFamilyParams(f"regular requires n*r even, got n={n}, r={r}")
-        return _gen_regular(n, r)
-    raise InvalidFamilyParams(f"unknown family {family!r}")
+    names, minimums, build = _FAMILIES[spec.family]
+    for name, minimum, value in zip(names, minimums, spec.params):
+        if minimum is not None and value < minimum:
+            label = spec.family if len(names) == 1 else f"{spec.family} {name}"
+            raise InvalidFamilyParams(f"{label} requires parameter >= {minimum}, got {value}")
+    return build(*spec.params)
 
 
 def generate_family(family: str, *params: int) -> Graph:

@@ -16,7 +16,8 @@ giving 7 * 4 * 4 * 2 * 2 = 448 registry names such as RL1, HBRL2, MIRRL1,
 RLKV3exp.  Orientation of variant 3 is canonical larger-endpoint-first so the
 index is well defined on undirected edges.  Fourteen standalone indices
 (degree exponentials, closeness and maximum-deviation families, Heronian)
-live beside the catalog under their own names.
+live beside the catalog under their own names, as rows of one table folded
+over the same cached per-vertex tables.
 
 Evaluation is pure: exact rationals throughout, with floats only where the
 mathematics leaves the rationals (non-integer general powers, square roots
@@ -32,11 +33,10 @@ from fractions import Fraction
 from typing import Optional, Union
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
-from .exact import ExpPoly, Rat, general_pow, sqrt_sum
-from .functionals import closeness, cl_degrees, edge_endpoint_values
+from .exact import ExpPoly, Rat, general_pow, parse_rat, sqrt_sum
+from .functionals import SOURCES, edge_endpoint_values
 from .graph import Graph
 
-SOURCES = ("plain", "banhatti", "revan", "domination", "temperature", "kv", "nbd")
 TRANSFORMS = ("identity", "hyper", "inverse", "general")
 AGGREGATIONS = ("sum", "product")
 FORMS = ("value", "exponential")
@@ -88,11 +88,6 @@ class Descriptor:
         )
 
 
-SPECIAL_NAMES = (
-    "RL5", "RL6", "RL7", "RL8", "RL9", "RL10", "RL11", "RL12",
-    "RL13", "RL14", "RL15", "RL16", "RL17", "HeronianRL",
-)
-
 _SPECIAL_ALIASES = {
     "C1": "RL7",
     "C2": "RL8",
@@ -140,8 +135,7 @@ def lookup(name: str) -> tuple[Union[Descriptor, str], Optional[Rat]]:
     with_param = _PARAM_RE.match(cleaned)
     if with_param:
         cleaned = with_param.group("base")
-        num, _, den = with_param.group("a").partition("/")
-        a_param = Fraction(int(num), int(den) if den else 1)
+        a_param = parse_rat(with_param.group("a"))
 
     for special in SPECIAL_NAMES:
         if cleaned == special.upper():
@@ -237,128 +231,43 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
 
 
 # --- standalone indices -------------------------------------------------------
+#
+# name -> (source, per-edge rational part, per-edge radicand, basis note).  The
+# index is the sum over edges of the rational part plus the sum of square
+# roots of the radicands.  RL5 takes the smaller endpoint degree as base and
+# the larger as exponent, so the undirected index is well defined; HeronianRL
+# is a + sqrt(ab) + b as published (no 1/3).
+_STANDALONE = {
+    "RL5": ("plain", lambda a, b: min(a, b) ** max(a, b), None, "degree power d_min^d_max"),
+    "RL6": ("plain", lambda a, b: a**b + b**a, None, "symmetric degree powers a^b + b^a"),
+    "RL7": ("closeness", lambda a, b: a + b, None, "closeness sum"),
+    "RL8": ("closeness", lambda a, b: a * b, None, "closeness product"),
+    "RL9": ("closeness", lambda a, b: a * a + b * b, None, "closeness squares"),
+    "RL10": ("closeness", None, lambda a, b: a * a + b * b, "sqrt of closeness squares"),
+    "RL11": ("closeness", None, lambda a, b: a + b, "sqrt of closeness sum"),
+    "RL12": ("closeness", lambda a, b: abs(a - b), None, "closeness deviation"),
+    "RL13": ("cl", lambda a, b: a + b, None, "max-deviation degree sum"),
+    "RL14": ("cl", lambda a, b: a * b, None, "max-deviation degree product"),
+    "RL15": ("cl", lambda a, b: a * a + b * b, None, "max-deviation degree squares"),
+    "RL16": ("cl", None, lambda a, b: a * a + b * b, "sqrt of max-deviation squares"),
+    "RL17": ("cl", None, lambda a, b: a + b, "sqrt of max-deviation sum"),
+    "HeronianRL": ("plain", lambda a, b: a + b, lambda a, b: a * b, "degrees a + sqrt(ab) + b"),
+}
+
+SPECIAL_NAMES = tuple(_STANDALONE)
 
 
-def _special_rl5(g: Graph):
-    # Orientation convention: smaller endpoint degree as base, larger as
-    # exponent, so the undirected index is well defined.
-    total = 0
-    for u, v in g.edges:
-        lo, hi = sorted((g.degrees[u], g.degrees[v]))
-        total += lo**hi
-    return Fraction(total)
-
-
-def _special_rl6(g: Graph):
-    total = 0
-    for u, v in g.edges:
-        du, dv = g.degrees[u], g.degrees[v]
-        total += du**dv + dv**du
-    return Fraction(total)
-
-
-def _closeness_fold(g: Graph, per_edge):
-    c = closeness(g)
-    return sum((per_edge(c[u], c[v]) for u, v in g.edges), Fraction(0))
-
-
-def _special_rl7(g: Graph):
-    return _closeness_fold(g, lambda a, b: a + b)
-
-
-def _special_rl8(g: Graph):
-    return _closeness_fold(g, lambda a, b: a * b)
-
-
-def _special_rl9(g: Graph):
-    return _closeness_fold(g, lambda a, b: a * a + b * b)
-
-
-def _special_rl10(g: Graph):
-    c = closeness(g)
-    return sqrt_sum(c[u] * c[u] + c[v] * c[v] for u, v in g.edges)
-
-
-def _special_rl11(g: Graph):
-    c = closeness(g)
-    return sqrt_sum(c[u] + c[v] for u, v in g.edges)
-
-
-def _special_rl12(g: Graph):
-    return _closeness_fold(g, lambda a, b: abs(a - b))
-
-
-def _cl_fold(g: Graph, per_edge):
-    cl = cl_degrees(g)
-    return Fraction(sum(per_edge(cl[u], cl[v]) for u, v in g.edges))
-
-
-def _special_rl13(g: Graph):
-    return _cl_fold(g, lambda a, b: a + b)
-
-
-def _special_rl14(g: Graph):
-    return _cl_fold(g, lambda a, b: a * b)
-
-
-def _special_rl15(g: Graph):
-    return _cl_fold(g, lambda a, b: a * a + b * b)
-
-
-def _special_rl16(g: Graph):
-    cl = cl_degrees(g)
-    return sqrt_sum(Fraction(cl[u] * cl[u] + cl[v] * cl[v]) for u, v in g.edges)
-
-
-def _special_rl17(g: Graph):
-    cl = cl_degrees(g)
-    return sqrt_sum(Fraction(cl[u] + cl[v]) for u, v in g.edges)
-
-
-def _special_heronian(g: Graph):
-    # Per-edge a + sqrt(ab) + b over plain degrees, as published (no 1/3).
-    deg = g.degrees
-    linear = Fraction(sum(deg[u] + deg[v] for u, v in g.edges))
-    roots = sqrt_sum(Fraction(deg[u] * deg[v]) for u, v in g.edges)
+def _evaluate_standalone(g: Graph, name: str):
+    source, rational, radicand, _ = _STANDALONE[name]
+    linear = Fraction(0)
+    if rational is not None:
+        linear = Fraction(sum(rational(a, b) for _, _, a, b in edge_endpoint_values(g, source)))
+    if radicand is None:
+        return linear
+    roots = sqrt_sum(radicand(a, b) for _, _, a, b in edge_endpoint_values(g, source))
     if isinstance(roots, float):
         return float(linear) + roots
     return linear + roots
-
-
-_SPECIALS = {
-    "RL5": _special_rl5,
-    "RL6": _special_rl6,
-    "RL7": _special_rl7,
-    "RL8": _special_rl8,
-    "RL9": _special_rl9,
-    "RL10": _special_rl10,
-    "RL11": _special_rl11,
-    "RL12": _special_rl12,
-    "RL13": _special_rl13,
-    "RL14": _special_rl14,
-    "RL15": _special_rl15,
-    "RL16": _special_rl16,
-    "RL17": _special_rl17,
-    "HeronianRL": _special_heronian,
-}
-
-# Short basis note per standalone index, for the registry listing.
-SPECIAL_BASIS = {
-    "RL5": "degree power d_min^d_max",
-    "RL6": "symmetric degree powers a^b + b^a",
-    "RL7": "closeness sum",
-    "RL8": "closeness product",
-    "RL9": "closeness squares",
-    "RL10": "sqrt of closeness squares",
-    "RL11": "sqrt of closeness sum",
-    "RL12": "closeness deviation",
-    "RL13": "max-deviation degree sum",
-    "RL14": "max-deviation degree product",
-    "RL15": "max-deviation degree squares",
-    "RL16": "sqrt of max-deviation squares",
-    "RL17": "sqrt of max-deviation sum",
-    "HeronianRL": "degrees a + sqrt(ab) + b",
-}
 
 
 def evaluate(g: Graph, index: Union[str, Descriptor], a: Optional[Rat] = None):
@@ -372,7 +281,7 @@ def evaluate(g: Graph, index: Union[str, Descriptor], a: Optional[Rat] = None):
     resolved, a_inline = lookup(index)
     if isinstance(resolved, Descriptor):
         return evaluate_descriptor(g, resolved, a_inline if a_inline is not None else a)
-    return _SPECIALS[resolved](g)
+    return _evaluate_standalone(g, resolved)
 
 
 def describe(name: str) -> tuple[str, str, str, str, str, str]:
@@ -387,4 +296,4 @@ def describe(name: str) -> tuple[str, str, str, str, str, str]:
             resolved.aggregation,
             resolved.form,
         )
-    return (resolved, SPECIAL_BASIS[resolved], "-", "-", "sum", "value")
+    return (resolved, _STANDALONE[resolved][3], "-", "-", "sum", "value")

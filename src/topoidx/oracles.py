@@ -21,7 +21,7 @@ from importlib import resources
 from typing import Callable, Iterable, Optional
 
 from .errors import ParamsOutOfStatedRange, TopoidxError
-from .exact import ExpPoly
+from .exact import ExpPoly, render_value
 from .functionals import domination_bound
 from .graph import FamilySpec, generate
 from .indices import evaluate, lookup
@@ -642,13 +642,6 @@ def oracle_eval(oracle_id: str, **params):
     return entry.eval(**params)
 
 
-def _render(value) -> str:
-    if isinstance(value, ExpPoly):
-        return value.render()
-    value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def _family_points(family: str, lo: int, hi: int, domination: bool) -> Iterable[dict]:
     """Default parameter grid; the range bounds apply to the size parameter n."""
     bound = domination_bound()
@@ -737,7 +730,7 @@ def run_verification(
             verdict = CONFIRMED if expected == direct else DISCREPANT
             results.append(OracleResult(
                 oracle_id, entry.family, tuple(sorted(params.items())),
-                _render(expected), _render(direct), verdict,
+                render_value(expected), render_value(direct), verdict,
             ))
     results.sort(key=lambda r: (r.oracle_id, r.params))
     return results

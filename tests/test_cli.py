@@ -99,6 +99,17 @@ class TestCompute:
         g = generate_family("wheel", 3)
         assert line.split(",")[2] == f"{evaluate(g, 'RRL1')}/1"
 
+    def test_inline_zero_denominator(self, w3_file, capsys):
+        code, _, err = run_cli(capsys, "compute", w3_file, "--index", "GRL1(a=1/0)")
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_general_a_zero_denominator(self, w3_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, "compute", w3_file, "--index", "GRL1", "--general-a", "1/0")
+        assert exit_info.value.code == 2
+        assert "argument --general-a" in capsys.readouterr().err
+
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2

@@ -1,0 +1,63 @@
+"""Byte-stable command-line outputs, pinned by SHA-256.
+
+The digests were recorded from topoidx 0.1.0.  Any change to a rendered
+value, a listing row, a verdict or the row order changes a digest, so a
+refactor of the evaluation or rendering path must leave them all equal.
+"""
+
+import hashlib
+
+import pytest
+
+from topoidx import Graph, cli, generate_family, write_graph
+
+
+def _stdout(capsys, *argv) -> str:
+    code = cli.main(list(argv))
+    out = capsys.readouterr().out
+    assert code == 0
+    return out
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_list_indices(capsys):
+    assert _sha(_stdout(capsys, "list-indices")) == (
+        "d57bc9a3ea217b0bf8699f953fb47494c0cc6791d67fd78399dee97cdecbaac1")
+
+
+def test_verify_csv(capsys):
+    assert _sha(_stdout(capsys, "verify", "--format", "csv")) == (
+        "eb55fb2dcfeaa1bf58f55307e7a11de10e583fc4f6801117a1eb2cc0933839c6")
+
+
+COMPUTE_ALL = {
+    "wheel_4": (generate_family("wheel", 4),
+                "51793ec62c6d188d4216d4129ec7ebbeccbe6017f09a6708f268a01170772a97"),
+    "sunflower_3": (generate_family("sunflower", 3),
+                    "e86f58615d512fd80d9c35a1723267b305bc4c7e2a5d7dfe3dfe7cb993d08147"),
+    "path_4": (generate_family("path", 4),
+               "4d9e007583b9497873e864a259659a1d6cd8505fc50871a624ff26bcf07aa6a4"),
+    "complete_bipartite_2_3": (generate_family("complete_bipartite", 2, 3),
+                               "22360ec42270fca7cc247ed73303ac0412efcab948eb010b1aca7d265d7667f6"),
+    "star_5": (generate_family("star", 5),
+               "8311c1542e848142ec7f4a60167d9e9d89b3e17b0c62e22ed664b07a4b9ae37c"),
+    "cycle_5": (generate_family("cycle", 5),
+                "bd10580519789837012a402f378015bfac27d780f4b6b40e3683c1c64e10bcaf"),
+    # Closeness needs connectivity, so RL7-RL12 give ERROR rows here while
+    # RL5, RL13-RL17 and HeronianRL give values.
+    "disconnected_3": (Graph(3, [(0, 1)]),
+                       "9e9f12319c4fdd3eb120a7727b9509363dc522083284b0f1485abbf0171dec88"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COMPUTE_ALL))
+def test_compute_all_csv_float(label, tmp_path, capsys):
+    g, digest = COMPUTE_ALL[label]
+    path = str(tmp_path / f"{label}.g")
+    write_graph(g, path)
+    out = _stdout(capsys, "compute", path, "--all", "--format", "csv", "--float")
+    # The graph column holds the file path; the digest is over the label.
+    assert _sha(out.replace(path + ",", label + ",")) == digest

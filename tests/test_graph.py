@@ -16,7 +16,6 @@ from topoidx.graph import (
     FamilySpec,
     Graph,
     bfs_distances,
-    build_graph,
     dumps,
     generate,
     generate_family,
@@ -38,24 +37,24 @@ def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
 
 class TestBuildGraph:
     def test_triangle(self):
-        g = build_graph(3, [(0, 1), (1, 2), (0, 2)])
+        g = Graph(3, [(0, 1), (1, 2), (0, 2)])
         assert g.degrees == (2, 2, 2)
         assert g.edge_count == 3
 
     def test_dedup(self):
-        g = build_graph(2, [(0, 1), (1, 0)])
+        g = Graph(2, [(0, 1), (1, 0)])
         assert g.edges == ((0, 1),)
 
     def test_vertex_out_of_range(self):
         with pytest.raises(VertexOutOfRange):
-            build_graph(4, [(0, 4)])
+            Graph(4, [(0, 4)])
 
     def test_self_loop(self):
         with pytest.raises(SelfLoop):
-            build_graph(3, [(1, 1)])
+            Graph(3, [(1, 1)])
 
     def test_immutable(self):
-        g = build_graph(2, [(0, 1)])
+        g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n = 5
 
@@ -138,6 +137,30 @@ class TestGenerators:
     def test_invalid_params(self, family, params):
         with pytest.raises(InvalidFamilyParams):
             generate(FamilySpec(family, params))
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("cycle", (2,), "cycle requires parameter >= 3, got 2"),
+        ("path", (1,), "path requires parameter >= 2, got 1"),
+        ("complete", (0,), "complete requires parameter >= 1, got 0"),
+        ("complete_bipartite", (0, 1), "complete_bipartite m requires parameter >= 1, got 0"),
+        ("complete_bipartite", (1, 0), "complete_bipartite n requires parameter >= 1, got 0"),
+        ("complete_bipartite", (0, 0), "complete_bipartite m requires parameter >= 1, got 0"),
+        ("star", (0,), "star requires parameter >= 1, got 0"),
+        ("double_star", (0, 1), "double_star p requires parameter >= 1, got 0"),
+        ("double_star", (1, 0), "double_star q requires parameter >= 1, got 0"),
+        ("wheel", (2,), "wheel requires parameter >= 3, got 2"),
+        ("sunflower", (2,), "sunflower requires parameter >= 3, got 2"),
+        ("french_windmill", (2, 3), "french_windmill n requires parameter >= 3, got 2"),
+        ("french_windmill", (3, 2), "french_windmill m requires parameter >= 3, got 2"),
+        ("regular", (4, 0), "regular r requires parameter >= 1, got 0"),
+        ("regular", (3, 3), "regular requires r < n, got r=3, n=3"),
+        ("regular", (-1, 1), "regular requires r < n, got r=1, n=-1"),
+        ("regular", (5, 3), "regular requires n*r even, got n=5, r=3"),
+    ])
+    def test_invalid_params_message(self, family, params, message):
+        with pytest.raises(InvalidFamilyParams) as err:
+            generate(FamilySpec(family, params))
+        assert str(err.value) == message
 
     def test_unknown_family(self):
         with pytest.raises(InvalidFamilyParams):

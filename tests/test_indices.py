@@ -7,7 +7,7 @@ import pytest
 
 from topoidx.errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
-from topoidx.functionals import edge_endpoint_values
+from topoidx.functionals import edge_endpoint_values, vertex_table
 from topoidx.graph import Graph, generate_family
 from topoidx.indices import (
     Descriptor,
@@ -187,6 +187,13 @@ class TestSpecials:
         value = evaluate(generate_family("path", 3), "HeronianRL")
         assert isinstance(value, float)
         assert value == pytest.approx(2 * (3 + math.sqrt(2)), rel=1e-9)
+
+    def test_closeness_specials_share_one_table(self):
+        vertex_table.cache_clear()
+        g = generate_family("wheel", 5)
+        for name in ("RL7", "RL8", "RL9", "RL10", "RL11", "RL12"):
+            evaluate(g, name)
+        assert vertex_table.cache_info().misses == 1
 
     def test_closeness_specials_need_connectivity(self):
         from topoidx.errors import DisconnectedGraph
