@@ -21,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .errors import DivisionByZero, TopoidxError
+from .errors import TopoidxError
 from .exact import ExpPoly, parse_rat, render_value
 from .functionals import SOURCES, VERTEX_TABLES, vertex_table
 from .graph import FamilySpec, dumps, generate, read_graph
@@ -30,6 +30,7 @@ from .oracles import (
     baseline_from_results,
     compare_to_baseline,
     load_baseline,
+    oracle_ids,
     run_verification,
 )
 
@@ -148,6 +149,7 @@ def cmd_verify(args) -> int:
         return 0
     baseline = load_baseline(args.baseline)
     deviations, unknown = compare_to_baseline(results, baseline)
+    stale = sorted(set(baseline) - set(oracle_ids()))
     confirmed = sum(1 for r in results if r.verdict == "CONFIRMED")
     discrepant = sum(1 for r in results if r.verdict == "DISCREPANT")
     print(
@@ -162,7 +164,9 @@ def cmd_verify(args) -> int:
     for r in unknown:
         print(f"# NOT IN BASELINE {r.oracle_id} [{r.params_label}]: {r.verdict}",
               file=sys.stderr)
-    return 1 if deviations else 0
+    for oracle_id in stale:
+        print(f"# STALE BASELINE {oracle_id}", file=sys.stderr)
+    return 1 if deviations or unknown or stale else 0
 
 
 def cmd_list_indices(args) -> int:
@@ -197,7 +201,7 @@ def _range_arg(text: str) -> tuple[int, int]:
 def _rat_arg(text: str) -> Fraction:
     try:
         return parse_rat(text)
-    except (ValueError, DivisionByZero):
+    except TopoidxError:
         raise argparse.ArgumentTypeError(f"expected a rational such as 3 or -2/3, got {text!r}")
 
 

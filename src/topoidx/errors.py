@@ -13,6 +13,10 @@ class DivisionByZero(TopoidxError, ZeroDivisionError):
     """Division by an exact zero (rational division or 0 to a negative power)."""
 
 
+class InvalidRational(TopoidxError, ValueError):
+    """Text that does not read as a rational ``num`` or ``num/den``."""
+
+
 class UnsupportedEvaluation(TopoidxError):
     """An exact evaluation was requested where none exists."""
 

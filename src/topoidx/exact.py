@@ -17,9 +17,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping, Union
 
-from .errors import DivisionByZero, UnsupportedEvaluation
+from .errors import DivisionByZero, InvalidRational, UnsupportedEvaluation
 
 Rat = Fraction
 
@@ -35,9 +36,12 @@ def rat(num, den=1) -> Rat:
 
 
 def parse_rat(text: str) -> Rat:
-    """Parse ``num`` or ``num/den``; a zero denominator raises DivisionByZero."""
+    """Parse ``num`` or ``num/den``; raises InvalidRational or DivisionByZero."""
     num, _, den = text.partition("/")
-    return rat(int(num), int(den) if den else 1)
+    try:
+        return rat(int(num), int(den) if den else 1)
+    except ValueError as exc:  # int() rejects it, e.g. past its digit limit
+        raise InvalidRational(f"not a rational: {exc}") from exc
 
 
 def rat_pow(base: RatLike, k: int) -> Rat:
@@ -78,19 +82,20 @@ def exact_sqrt(value: RatLike):
     return None
 
 
-def sqrt_sum(radicands: Iterable[RatLike]) -> Union[Rat, float]:
-    """Sum of square roots: exact when every radicand is a perfect square.
+def sqrt_sum(radicands: Iterable[tuple[RatLike, int]]) -> Union[Rat, float]:
+    """Sum of ``count`` square roots of each (radicand, count) pair.
 
-    Square-root indices report exactly when possible (e.g. regular graphs,
-    where every radicand collapses); otherwise the sum falls back to floats.
+    Exact when every radicand is a perfect square (e.g. regular graphs, where
+    every radicand collapses); otherwise ``math.fsum`` over every repeated
+    root, which is correctly rounded and so independent of the grouping.
     """
     exact_total = Fraction(0)
-    items = [Fraction(r) for r in radicands]
-    for r in items:
+    items = [(Fraction(r), c) for r, c in radicands]
+    for r, c in items:
         root = exact_sqrt(r)
         if root is None:
-            return math.fsum(math.sqrt(r) for r in items)
-        exact_total += root
+            return math.fsum(s for r, c in items for s in repeat(math.sqrt(r), c))
+        exact_total += c * root
     return exact_total
 
 
@@ -102,7 +107,8 @@ class ExpPoly:
 
     Terms map exponent -> integer coefficient; zero coefficients are never
     stored and exponents are unique, so equality is structural.  Instances
-    are immutable.
+    are immutable.  A float exponent (a non-integer general power) raises
+    UnsupportedEvaluation: exponents must stay rational.
     """
 
     __slots__ = ("_terms",)
@@ -112,10 +118,16 @@ class ExpPoly:
         if terms:
             pairs = terms.items() if isinstance(terms, Mapping) else terms
             for exponent, coeff in pairs:
+                if isinstance(exponent, float):
+                    raise UnsupportedEvaluation(
+                        "exponential form needs rational exponents; "
+                        "non-integer general powers are value-form only"
+                    )
                 exponent = Fraction(exponent)
-                coeff = int(coeff)
-                acc[exponent] = acc.get(exponent, 0) + coeff
-        object.__setattr__(self, "_terms", {e: c for e, c in acc.items() if c != 0})
+                acc[exponent] = acc.get(exponent, 0) + int(coeff)
+        for e in [e for e, c in acc.items() if c == 0]:
+            del acc[e]
+        object.__setattr__(self, "_terms", acc)
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
@@ -126,7 +138,7 @@ class ExpPoly:
 
     @classmethod
     def monomial(cls, exponent: RatLike, coeff: int = 1) -> "ExpPoly":
-        return cls({Fraction(exponent): coeff})
+        return cls({exponent: coeff})
 
     def terms(self) -> list[tuple[Fraction, int]]:
         """Term list in canonical order (descending exponent)."""

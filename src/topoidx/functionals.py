@@ -168,43 +168,6 @@ def domination_degrees(g: Graph, bound: int | None = None) -> tuple[int, ...]:
     return tuple(result)
 
 
-def domination_degrees_bruteforce(g: Graph) -> tuple[int, ...]:
-    """Independent oracle: set-based, checks every proper subset literally.
-
-    Deliberately shares no code or data structures with domination_degrees;
-    only suitable for small graphs (all subsets of all subsets).
-    """
-    vertices = list(range(g.n))
-    neighborhoods = {u: set(g.adj[u]) | {u} for u in vertices}
-
-    def dominates(subset) -> bool:
-        covered = set()
-        for u in subset:
-            covered |= neighborhoods[u]
-        return len(covered) == g.n
-
-    def is_minimal(subset) -> bool:
-        members = list(subset)
-        for k in range(len(members)):
-            for smaller in combinations(members, k):
-                if dominates(smaller):
-                    return False
-        return True
-
-    best = {}
-    for size in range(1, g.n + 1):
-        for subset in combinations(vertices, size):
-            if not dominates(subset):
-                continue
-            if not is_minimal(subset):
-                continue
-            for u in subset:
-                best.setdefault(u, size)
-        if len(best) == g.n:
-            break
-    return tuple(best[u] for u in vertices)
-
-
 # --- dispatch ---------------------------------------------------------------
 
 
@@ -242,3 +205,16 @@ def edge_endpoint_values(g: Graph, source: str):
         table = vertex_table(g, source)
         for u, v in g.edges:
             yield u, v, table[u], table[v]
+
+
+def edge_census(g: Graph, source: str) -> dict[tuple, int]:
+    """Count edges by sorted pair of endpoint values (the edge partition).
+
+    Every index is a symmetric form of the endpoint values, so a fold over
+    this census.  Rebuilt on every call, never cached.
+    """
+    census: dict[tuple, int] = {}
+    for _, _, a, b in edge_endpoint_values(g, source):
+        key = (a, b) if a <= b else (b, a)
+        census[key] = census.get(key, 0) + 1
+    return census

@@ -63,14 +63,6 @@ class Graph:
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
 
-    def degree_pair_census(self) -> dict[tuple[int, int], int]:
-        """Count edges by sorted endpoint-degree pair (the edge partition)."""
-        census: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
-            key = tuple(sorted((self.degrees[u], self.degrees[v])))
-            census[key] = census.get(key, 0) + 1
-        return census
-
 
 def bfs_distances(g: Graph, source: int) -> list:
     """Hop distances from ``source``; unreachable vertices get None."""

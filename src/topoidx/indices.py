@@ -16,8 +16,8 @@ giving 7 * 4 * 4 * 2 * 2 = 448 registry names such as RL1, HBRL2, MIRRL1,
 RLKV3exp.  Orientation of variant 3 is canonical larger-endpoint-first so the
 index is well defined on undirected edges.  Fourteen standalone indices
 (degree exponentials, closeness and maximum-deviation families, Heronian)
-live beside the catalog under their own names, as rows of one table folded
-over the same cached per-vertex tables.
+live beside the catalog under their own names, as rows of one table.  Every
+index is one fold over the edge census (``functionals.edge_census``).
 
 Evaluation is pure: exact rationals throughout, with floats only where the
 mathematics leaves the rationals (non-integer general powers, square roots
@@ -27,14 +27,16 @@ with non-square radicands).
 from __future__ import annotations
 
 import difflib
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Optional, Union
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from .exact import ExpPoly, Rat, general_pow, parse_rat, sqrt_sum
-from .functionals import SOURCES, edge_endpoint_values
+from .functionals import SOURCES, edge_census, edge_endpoint_values
 from .graph import Graph
 
 TRANSFORMS = ("identity", "hyper", "inverse", "general")
@@ -176,58 +178,50 @@ def kernel(variant: int, a, b):
     raise ValueError(f"bad variant {variant!r}")
 
 
-def _transformed_kernels(g: Graph, d: Descriptor, a_param: Optional[Rat]):
-    if d.transform == "general":
-        if a_param is None:
-            raise UnsupportedEvaluation(
-                f"{d.name} needs its power parameter, e.g. {d.name}(a=3)"
-            )
-        a_param = Fraction(a_param)
-    out = []
-    for u, v, val_u, val_v in edge_endpoint_values(g, d.source):
-        k = kernel(d.variant, val_u, val_v)
-        if d.transform == "identity":
-            t = k
-        elif d.transform == "hyper":
-            t = k * k
-        elif d.transform == "inverse":
-            if k == 0:
-                raise InverseUndefined((u, v))
-            t = Fraction(1) / Fraction(k)
-        else:
-            if k == 0 and a_param < 0:
-                raise InverseUndefined((u, v))
-            t = general_pow(Fraction(k), a_param)
-        out.append(t)
-    return out
+# transform -> per-class term from the kernel k and the general power a.
+_TRANSFORMS = {
+    "identity": lambda k, a: k,
+    "hyper": lambda k, a: k * k,
+    "inverse": lambda k, a: Fraction(1) / Fraction(k),
+    "general": lambda k, a: general_pow(Fraction(k), a),
+}
+
+
+def _power(t, c: int):
+    # A float power raises OverflowError where repeated products reach inf.
+    return math.prod(repeat(t, c)) if isinstance(t, float) else t**c
 
 
 def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
-    """Fold the transformed kernel over all edges of ``g``.
+    """Fold the transformed kernel over the edge census of ``g``.
 
-    Returns an exact Fraction (value form), an ExpPoly (exponential form),
-    or a float when a non-integer general power forces one.
+    Each class (pair of endpoint values, count c) with term t contributes
+    c*t to a sum, t^c to a product and c*x^t to a polynomial.  Returns an
+    exact Fraction (value form), an ExpPoly (exponential form), or a float
+    when a non-integer general power forces one.
     """
-    terms = _transformed_kernels(g, d, a)
-    if d.form == "value":
-        if d.aggregation == "sum":
-            total = Fraction(0)
-            for t in terms:
-                total = total + t
-            return total
-        total = Fraction(1)
-        for t in terms:
-            total = total * t
-        return total
-    # Exponential form: exponents must stay rational.
-    if any(isinstance(t, float) for t in terms):
-        raise UnsupportedEvaluation(
-            "exponential form needs rational exponents; "
-            "non-integer general powers are value-form only"
-        )
-    if d.aggregation == "sum":
-        return ExpPoly((t, 1) for t in terms)
-    return ExpPoly.monomial(sum(terms, Fraction(0)), 1)
+    if d.transform == "general":
+        if a is None:
+            raise UnsupportedEvaluation(
+                f"{d.name} needs its power parameter, e.g. {d.name}(a=3)"
+            )
+        a = Fraction(a)
+    census = edge_census(g, d.source)
+    if d.transform == "inverse" or (d.transform == "general" and a < 0):
+        if any(kernel(d.variant, *pair) == 0 for pair in census):
+            # Error path only: name the first such edge in edge order.
+            raise InverseUndefined(next(
+                (u, v) for u, v, val_u, val_v in edge_endpoint_values(g, d.source)
+                if kernel(d.variant, val_u, val_v) == 0
+            ))
+    transform = _TRANSFORMS[d.transform]
+    terms = ((transform(kernel(d.variant, *pair), a), c) for pair, c in census.items())
+    if d.form == "exponential" and d.aggregation == "sum":
+        return ExpPoly(terms)
+    if d.form == "value" and d.aggregation == "product":
+        return math.prod((_power(t, c) for t, c in terms), start=Fraction(1))
+    total = sum((c * t for t, c in terms), Fraction(0))
+    return total if d.form == "value" else ExpPoly.monomial(total)
 
 
 # --- standalone indices -------------------------------------------------------
@@ -259,15 +253,14 @@ SPECIAL_NAMES = tuple(_STANDALONE)
 
 def _evaluate_standalone(g: Graph, name: str):
     source, rational, radicand, _ = _STANDALONE[name]
+    census = edge_census(g, source)
     linear = Fraction(0)
     if rational is not None:
-        linear = Fraction(sum(rational(a, b) for _, _, a, b in edge_endpoint_values(g, source)))
+        linear = Fraction(sum(c * rational(a, b) for (a, b), c in census.items()))
     if radicand is None:
         return linear
-    roots = sqrt_sum(radicand(a, b) for _, _, a, b in edge_endpoint_values(g, source))
-    if isinstance(roots, float):
-        return float(linear) + roots
-    return linear + roots
+    # Fraction + float is float(linear) + roots.
+    return linear + sqrt_sum((radicand(a, b), c) for (a, b), c in census.items())
 
 
 def evaluate(g: Graph, index: Union[str, Descriptor], a: Optional[Rat] = None):

@@ -741,8 +741,9 @@ def run_verification(
 # The shipped baseline records, for every oracle over the default grid, the
 # verdict the current definitions produce: a per-oracle default plus explicit
 # per-point exceptions (coincidental equalities and the like).  `verify`
-# exits nonzero only when a computed verdict deviates from this record, so
-# known published discrepancies stay visible without failing CI.
+# exits nonzero when a computed verdict deviates from this record or either
+# side has an id the other lacks, so known published discrepancies stay
+# visible without failing CI.
 
 
 def baseline_from_results(results: Iterable[OracleResult]) -> dict:

@@ -1,0 +1,140 @@
+"""Per-edge reference implementations that the engine is checked against.
+
+Nothing in the package imports this module.  ``domination_degrees_bruteforce``
+is the independent domination oracle of acceptance criterion 5.
+``evaluate_descriptor`` (with ``_transformed_kernels``) and
+``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
+that preceded the edge-census fold, kept verbatim so the census fold can be
+tested against them.
+"""
+
+import math
+from fractions import Fraction
+from itertools import combinations
+from typing import Iterable, Optional, Union
+
+from topoidx.errors import InverseUndefined, UnsupportedEvaluation
+from topoidx.exact import ExpPoly, Rat, RatLike, exact_sqrt, general_pow
+from topoidx.functionals import edge_endpoint_values
+from topoidx.graph import Graph
+from topoidx.indices import _STANDALONE, Descriptor, kernel
+
+
+def domination_degrees_bruteforce(g: Graph) -> tuple[int, ...]:
+    """Independent oracle: set-based, checks every proper subset literally.
+
+    Deliberately shares no code or data structures with domination_degrees;
+    only suitable for small graphs (all subsets of all subsets).
+    """
+    vertices = list(range(g.n))
+    neighborhoods = {u: set(g.adj[u]) | {u} for u in vertices}
+
+    def dominates(subset) -> bool:
+        covered = set()
+        for u in subset:
+            covered |= neighborhoods[u]
+        return len(covered) == g.n
+
+    def is_minimal(subset) -> bool:
+        members = list(subset)
+        for k in range(len(members)):
+            for smaller in combinations(members, k):
+                if dominates(smaller):
+                    return False
+        return True
+
+    best = {}
+    for size in range(1, g.n + 1):
+        for subset in combinations(vertices, size):
+            if not dominates(subset):
+                continue
+            if not is_minimal(subset):
+                continue
+            for u in subset:
+                best.setdefault(u, size)
+        if len(best) == g.n:
+            break
+    return tuple(best[u] for u in vertices)
+
+
+def _transformed_kernels(g: Graph, d: Descriptor, a_param: Optional[Rat]):
+    if d.transform == "general":
+        if a_param is None:
+            raise UnsupportedEvaluation(
+                f"{d.name} needs its power parameter, e.g. {d.name}(a=3)"
+            )
+        a_param = Fraction(a_param)
+    out = []
+    for u, v, val_u, val_v in edge_endpoint_values(g, d.source):
+        k = kernel(d.variant, val_u, val_v)
+        if d.transform == "identity":
+            t = k
+        elif d.transform == "hyper":
+            t = k * k
+        elif d.transform == "inverse":
+            if k == 0:
+                raise InverseUndefined((u, v))
+            t = Fraction(1) / Fraction(k)
+        else:
+            if k == 0 and a_param < 0:
+                raise InverseUndefined((u, v))
+            t = general_pow(Fraction(k), a_param)
+        out.append(t)
+    return out
+
+
+def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
+    """Fold the transformed kernel over all edges of ``g``.
+
+    Returns an exact Fraction (value form), an ExpPoly (exponential form),
+    or a float when a non-integer general power forces one.
+    """
+    terms = _transformed_kernels(g, d, a)
+    if d.form == "value":
+        if d.aggregation == "sum":
+            total = Fraction(0)
+            for t in terms:
+                total = total + t
+            return total
+        total = Fraction(1)
+        for t in terms:
+            total = total * t
+        return total
+    # Exponential form: exponents must stay rational.
+    if any(isinstance(t, float) for t in terms):
+        raise UnsupportedEvaluation(
+            "exponential form needs rational exponents; "
+            "non-integer general powers are value-form only"
+        )
+    if d.aggregation == "sum":
+        return ExpPoly((t, 1) for t in terms)
+    return ExpPoly.monomial(sum(terms, Fraction(0)), 1)
+
+
+def sqrt_sum_per_edge(radicands: Iterable[RatLike]) -> Union[Rat, float]:
+    """Sum of square roots: exact when every radicand is a perfect square.
+
+    Square-root indices report exactly when possible (e.g. regular graphs,
+    where every radicand collapses); otherwise the sum falls back to floats.
+    """
+    exact_total = Fraction(0)
+    items = [Fraction(r) for r in radicands]
+    for r in items:
+        root = exact_sqrt(r)
+        if root is None:
+            return math.fsum(math.sqrt(r) for r in items)
+        exact_total += root
+    return exact_total
+
+
+def evaluate_standalone(g: Graph, name: str):
+    source, rational, radicand, _ = _STANDALONE[name]
+    linear = Fraction(0)
+    if rational is not None:
+        linear = Fraction(sum(rational(a, b) for _, _, a, b in edge_endpoint_values(g, source)))
+    if radicand is None:
+        return linear
+    roots = sqrt_sum_per_edge(radicand(a, b) for _, _, a, b in edge_endpoint_values(g, source))
+    if isinstance(roots, float):
+        return float(linear) + roots
+    return linear + roots

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from topoidx import cli, evaluate, generate_family
-from topoidx.oracles import run_verification, baseline_from_results
+from topoidx.oracles import baseline_from_results, load_baseline, run_verification
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +110,19 @@ class TestCompute:
         assert exit_info.value.code == 2
         assert "argument --general-a" in capsys.readouterr().err
 
+    def test_inline_power_past_digit_limit(self, w3_file, capsys):
+        code, out, err = run_cli(capsys, "compute", w3_file,
+                                 "--index", f"GRL1(a={'7' * 5000})")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_general_a_past_digit_limit(self, w3_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, "compute", w3_file, "--index", "GRL1", "--general-a", "7" * 5000)
+        assert exit_info.value.code == 2
+        assert "argument --general-a" in capsys.readouterr().err
+
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2
@@ -138,6 +151,29 @@ class TestVerifyCommand:
                                "--range", "3..4", "--baseline", str(bad))
         assert code == 1
         assert "DEVIATION RL1/wheel" in err
+
+    def test_missing_baseline_entry_fails(self, tmp_path, capsys):
+        baseline = load_baseline()
+        del baseline["NRL1/cycle"]
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        code, _, err = run_cli(capsys, "verify", "--oracle", "NRL1/cycle",
+                               "--range", "3..3", "--baseline", str(path))
+        assert code == 1
+        assert "0 deviations" in err
+        assert "# NOT IN BASELINE NRL1/cycle [n=3]: CONFIRMED" in err
+
+    def test_stale_baseline_entry_fails(self, tmp_path, capsys):
+        baseline = load_baseline()
+        baseline["RL1/nowhere"] = {"default": "CONFIRMED"}
+        path = tmp_path / "baseline.json"
+        path.write_text(json.dumps(baseline))
+        code, _, err = run_cli(capsys, "verify", "--oracle", "NRL1/cycle",
+                               "--range", "3..3", "--baseline", str(path))
+        assert code == 1
+        assert "0 deviations" in err
+        assert "# STALE BASELINE RL1/nowhere" in err.splitlines()
+        assert "NOT IN BASELINE" not in err
 
     def test_update_baseline(self, tmp_path, capsys):
         target = tmp_path / "new.json"

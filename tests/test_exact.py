@@ -6,8 +6,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topoidx.errors import DivisionByZero, UnsupportedEvaluation
-from topoidx.exact import ExpPoly, exact_sqrt, general_pow, rat, rat_pow, sqrt_sum
+from topoidx.errors import DivisionByZero, InvalidRational, UnsupportedEvaluation
+from topoidx.exact import (
+    ExpPoly,
+    exact_sqrt,
+    general_pow,
+    parse_rat,
+    rat,
+    rat_pow,
+    sqrt_sum,
+)
 
 
 class TestRationals:
@@ -27,6 +35,14 @@ class TestRationals:
     def test_zero_denominator(self):
         with pytest.raises(DivisionByZero):
             rat(1, 0)
+
+    def test_parse_rat(self):
+        assert parse_rat("-2/3") == F(-2, 3)
+        with pytest.raises(DivisionByZero):
+            parse_rat("1/0")
+        for text in ("x", "1/x", "9" * 5000, "1/" + "9" * 5000):
+            with pytest.raises(InvalidRational):
+                parse_rat(text)
 
     @given(st.integers(-10**6, 10**6), st.integers(1, 10**6))
     def test_reduction_idempotent(self, num, den):
@@ -73,8 +89,9 @@ class TestSqrt:
         assert exact_sqrt(2) is None
 
     def test_sum_stays_exact_when_possible(self):
-        assert sqrt_sum([F(4), F(9, 4)]) == F(7, 2)
-        assert isinstance(sqrt_sum([F(2), F(2)]), float)
+        assert sqrt_sum([(F(4), 1), (F(9, 4), 1)]) == F(7, 2)
+        assert sqrt_sum([(F(4), 3)]) == 6
+        assert isinstance(sqrt_sum([(F(2), 2)]), float)
 
 
 class TestExpPoly:
@@ -131,6 +148,12 @@ class TestExpPoly:
 
     def test_zero_coefficients_dropped(self):
         assert ExpPoly([(5, 1), (5, -1)]).is_zero()
+
+    def test_float_exponent_rejected(self):
+        with pytest.raises(UnsupportedEvaluation):
+            ExpPoly([(0.5, 1)])
+        with pytest.raises(UnsupportedEvaluation):
+            ExpPoly.monomial(0.5)
 
     def test_immutable(self):
         p = ExpPoly({1: 1})

@@ -1,0 +1,103 @@
+"""The edge-census fold against the per-edge reference folds.
+
+``topoidx.indices`` evaluates every index as one fold over the edge census
+(sorted pair of endpoint values -> edge count).  ``reference`` keeps the
+per-edge folds it replaced.  On small random graphs, connected or not, the two
+must agree exactly, down to the exception type and the edge an
+``InverseUndefined`` names.  Non-integer general powers are floats summed per
+class instead of per edge, so they are compared to 1e-12 relative.
+"""
+
+import math
+from fractions import Fraction as F
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topoidx.errors import InverseUndefined, TopoidxError
+from topoidx.graph import Graph
+from topoidx.indices import (
+    SPECIAL_NAMES,
+    all_index_names,
+    evaluate,
+    evaluate_descriptor,
+    lookup,
+    registry_names,
+)
+
+import reference
+
+DESCRIPTORS = [lookup(name)[0] for name in registry_names()]
+GENERAL = [d for d in DESCRIPTORS if d.transform == "general"]
+
+EXAMPLES = settings(max_examples=15, deadline=None)
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(1, 8))
+    pairs = list(combinations(range(n), 2))
+    mask = draw(st.integers(0, 2 ** len(pairs) - 1))
+    return Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TopoidxError as exc:
+        return exc
+
+
+def assert_same(got, want, context):
+    assert type(got) is type(want), (context, got, want)
+    if isinstance(want, InverseUndefined):
+        assert got.edge == want.edge, context
+    elif not isinstance(want, Exception):
+        assert got == want, (context, got, want)
+
+
+
+@EXAMPLES
+@given(graphs())
+def test_catalog_matches_per_edge_reference(g):
+    for d in DESCRIPTORS:
+        powers = (2, 3, -1, -2) if d.transform == "general" else (None,)
+        for a in powers:
+            assert_same(outcome(evaluate_descriptor, g, d, a),
+                        outcome(reference.evaluate_descriptor, g, d, a), (d.name, a))
+
+
+@settings(max_examples=100, deadline=None)
+@given(graphs())
+def test_standalone_matches_per_edge_reference(g):
+    for name in SPECIAL_NAMES:
+        assert_same(outcome(evaluate, g, name),
+                    outcome(reference.evaluate_standalone, g, name), name)
+
+
+@EXAMPLES
+@given(graphs())
+def test_non_integer_powers_match_to_last_bits(g):
+    for d in GENERAL:
+        for a in (F(1, 2), F(-2, 3)):
+            got = outcome(evaluate_descriptor, g, d, a)
+            want = outcome(reference.evaluate_descriptor, g, d, a)
+            if isinstance(want, float):
+                assert isinstance(got, float), (d.name, a)
+                assert math.isclose(got, want, rel_tol=1e-12), (d.name, a, got, want)
+            else:
+                assert_same(got, want, (d.name, a))
+
+
+@EXAMPLES
+@given(st.data())
+def test_every_name_invariant_under_relabelling(data):
+    g = data.draw(graphs())
+    perm = data.draw(st.permutations(range(g.n)))
+    h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+    for name in all_index_names():
+        got, want = outcome(evaluate, h, name, -2), outcome(evaluate, g, name, -2)
+        assert type(got) is type(want), (name, got, want)
+        if not isinstance(want, Exception):
+            assert got == want, (name, got, want)

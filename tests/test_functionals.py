@@ -11,13 +11,14 @@ from topoidx.functionals import (
     cl_degrees,
     closeness,
     domination_degrees,
-    domination_degrees_bruteforce,
     kv_products,
     neighbor_degree_sums,
     revan_degrees,
     temperatures,
 )
 from topoidx.graph import Graph, generate_family
+
+from reference import domination_degrees_bruteforce
 
 from conftest import random_connected_graph
 

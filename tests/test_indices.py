@@ -127,6 +127,12 @@ class TestCatalogValues:
         with pytest.raises(UnsupportedEvaluation):
             evaluate(g, "GRL1exp", a=F(1, 2))
 
+    def test_fractional_product_overflows_to_inf(self):
+        # 1770 edges with t = sqrt(3 * 59^2): t**1770 would raise OverflowError.
+        g = generate_family("complete", 60)
+        assert evaluate(g, "MGRL1", a=F(1, 2)) == math.inf
+        assert evaluate(g, "MGRL1", a=F(-1, 2)) == 0.0
+
     def test_zagreb_decomposition_spot(self):
         g = generate_family("wheel", 5)
         for source in ("plain", "banhatti", "revan", "temperature", "kv", "nbd", "domination"):
