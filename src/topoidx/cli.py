@@ -38,7 +38,10 @@ from .oracles import (
 def _approx(value) -> str:
     if isinstance(value, ExpPoly):
         return ""
-    return f"{float(value):.12g}"
+    try:
+        return f"{float(value):.12g}"
+    except OverflowError:  # past the float range, as an infinite float prints
+        return "inf" if value > 0 else "-inf"
 
 
 def cmd_gen(args) -> int:

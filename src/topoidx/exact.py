@@ -37,9 +37,9 @@ def rat(num, den=1) -> Rat:
 
 def parse_rat(text: str) -> Rat:
     """Parse ``num`` or ``num/den``; raises InvalidRational or DivisionByZero."""
-    num, _, den = text.partition("/")
+    num, slash, den = text.partition("/")
     try:
-        return rat(int(num), int(den) if den else 1)
+        return rat(int(num), int(den) if slash else 1)
     except ValueError as exc:  # int() rejects it, e.g. past its digit limit
         raise InvalidRational(f"not a rational: {exc}") from exc
 
@@ -67,7 +67,10 @@ def general_pow(base: RatLike, a: RatLike) -> Union[Rat, float]:
         if a < 0:
             raise DivisionByZero("0 raised to a negative power")
         return Fraction(0)
-    return float(base) ** float(a)
+    try:
+        return float(base) ** float(a)
+    except OverflowError as exc:
+        raise UnsupportedEvaluation(f"power {a} overflows a float") from exc
 
 
 def exact_sqrt(value: RatLike):

@@ -50,6 +50,12 @@ class TestCompute:
         run_cli(capsys, "gen", "cycle", "4", "-o", str(path))
         return str(path)
 
+    @pytest.fixture
+    def k40_file(self, tmp_path, capsys):
+        path = tmp_path / "k40.g"
+        run_cli(capsys, "gen", "complete", "40", "-o", str(path))
+        return str(path)
+
     def test_single_index_csv(self, w3_file, capsys):
         code, out, _ = run_cli(capsys, "compute", w3_file, "--index", "RL1", "--format", "csv")
         assert code == 0
@@ -122,6 +128,26 @@ class TestCompute:
             run_cli(capsys, "compute", w3_file, "--index", "GRL1", "--general-a", "7" * 5000)
         assert exit_info.value.code == 2
         assert "argument --general-a" in capsys.readouterr().err
+
+    def test_general_a_empty_denominator(self, w3_file, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, "compute", w3_file, "--index", "GRL1", "--general-a", "1/")
+        assert exit_info.value.code == 2
+        assert "argument --general-a" in capsys.readouterr().err
+
+    def test_general_power_past_float_range(self, k40_file, capsys):
+        code, out, _ = run_cli(capsys, "compute", k40_file,
+                               "--index", "GRLKV1(a=5/2),RL1", "--format", "csv")
+        assert code == 0
+        rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
+        assert rows["GRLKV1(a=5/2)"] == "ERROR:UnsupportedEvaluation"
+        assert rows["RL1"] == "3559140/1"
+
+    def test_float_column_past_float_range(self, k40_file, capsys):
+        code, out, _ = run_cli(capsys, "compute", k40_file,
+                               "--index", "MRL1", "--format", "csv", "--float")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[3] == "inf"
 
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)

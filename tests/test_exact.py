@@ -40,7 +40,7 @@ class TestRationals:
         assert parse_rat("-2/3") == F(-2, 3)
         with pytest.raises(DivisionByZero):
             parse_rat("1/0")
-        for text in ("x", "1/x", "9" * 5000, "1/" + "9" * 5000):
+        for text in ("x", "1/x", "1/", "9" * 5000, "1/" + "9" * 5000):
             with pytest.raises(InvalidRational):
                 parse_rat(text)
 
@@ -77,6 +77,12 @@ class TestPowers:
     def test_general_fractional_negative_base(self):
         with pytest.raises(UnsupportedEvaluation):
             general_pow(-4, F(1, 2))
+
+    def test_general_fractional_past_float_range(self):
+        # The power overflows, and so does a base too large for a float.
+        for base, a in ((10**200, F(5, 2)), (10**400, F(1, 2))):
+            with pytest.raises(UnsupportedEvaluation, match=str(a)):
+                general_pow(base, a)
 
 
 class TestSqrt:

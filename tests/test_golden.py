@@ -28,9 +28,21 @@ def test_list_indices(capsys):
         "d57bc9a3ea217b0bf8699f953fb47494c0cc6791d67fd78399dee97cdecbaac1")
 
 
-def test_verify_csv(capsys):
-    assert _sha(_stdout(capsys, "verify", "--format", "csv")) == (
-        "eb55fb2dcfeaa1bf58f55307e7a11de10e583fc4f6801117a1eb2cc0933839c6")
+# Every family but star runs to n = 20 in about a second; star's
+# domination enumeration alone takes several seconds more.
+VERIFY_WIDE = ["--range", "3..20"] + [
+    arg for family in ("regular", "cycle", "complete", "path", "kmn", "knn", "k1n",
+                       "wheel", "sunflower", "double_star", "windmill")
+    for arg in ("--family", family)
+]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    ([], "eb55fb2dcfeaa1bf58f55307e7a11de10e583fc4f6801117a1eb2cc0933839c6"),
+    (VERIFY_WIDE, "2930568541023c7c53ab878e047bd77e28eec5e087a8a1185d36f0c7fc9bf030"),
+], ids=["default", "wide"])
+def test_verify_csv(argv, digest, capsys):
+    assert _sha(_stdout(capsys, "verify", "--format", "csv", *argv)) == digest
 
 
 COMPUTE_ALL = {

@@ -1,10 +1,14 @@
 """Closed-form oracles and the differential verifier."""
 
+from fractions import Fraction
+
 import pytest
 
 from topoidx.errors import ParamsOutOfStatedRange
 from topoidx.exact import ExpPoly
 from topoidx.oracles import (
+    OracleEntry,
+    _family_points,
     baseline_from_results,
     compare_to_baseline,
     load_baseline,
@@ -40,16 +44,22 @@ class TestOracleEval:
     def test_every_entry_evaluates_at_default_point(self):
         defaults = {"n": 4, "r": 2, "m": 3, "p": 2, "q": 2}
         for oracle_id, entry in oracle_entries().items():
-            params = {
-                name: defaults[name]
-                for name in entry.formula.__code__.co_varnames[: entry.formula.__code__.co_argcount]
-            }
+            names = next(_family_points(entry.family, 4, 4))
+            params = {name: defaults[name] for name in names}
             if entry.family == "windmill":
                 params = {"n": 4, "m": 3}
             if entry.family == "kmn":
                 params = {"m": 2, "n": 4}
             value = entry.eval(**params)
-            assert value is not None, oracle_id
+            expected_type = ExpPoly if entry.index.endswith("exp") else Fraction
+            assert type(value) is expected_type, oracle_id
+
+    @pytest.mark.parametrize("text", ["3n^2|n-3", "n(n+1))", "3k^2"],
+                             ids=["unbalanced-bar", "trailing-token", "unknown-letter"])
+    def test_malformed_display_names_the_oracle(self, text):
+        entry = OracleEntry("RL4/wheel", "wheel", "RL4", text, "n >= 3")
+        with pytest.raises(ValueError, match="RL4/wheel"):
+            entry.eval(n=4)
 
 
 class TestVerification:
