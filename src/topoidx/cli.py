@@ -19,6 +19,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from .errors import TopoidxError
@@ -56,18 +57,19 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
+def _compute_rows(g, graph_label: str, names, degree, general_a, float_out: bool):
     rows = []
     for name in names:
-        resolved, a_inline = lookup(name)
-        if a_inline is not None and isinstance(resolved, Descriptor):
-            label = f"{resolved.name}(a={a_inline})"
-        else:
-            label = _canonical_label(resolved, general_a)
-        try:
-            a = a_inline
-            if a is None and isinstance(resolved, Descriptor) and resolved.transform == "general":
+        resolved, a = lookup(name)
+        if isinstance(resolved, Descriptor):
+            if degree:
+                resolved = replace(resolved, source=degree)
+            if a is None and resolved.transform == "general":
                 a = general_a
+            label = resolved.name if a is None else f"{resolved.name}(a={a})"
+        else:
+            a, label = None, resolved
+        try:
             value = evaluate(g, resolved, a)
         except TopoidxError as exc:
             rows.append((graph_label, label, f"ERROR:{type(exc).__name__}", ""))
@@ -75,14 +77,6 @@ def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
         rows.append((graph_label, label, render_value(value), _approx(value) if float_out else ""))
     rows.sort(key=lambda r: r[1])
     return rows
-
-
-def _canonical_label(resolved, general_a) -> str:
-    if isinstance(resolved, Descriptor):
-        if resolved.transform == "general":
-            return f"{resolved.name}(a={general_a})"
-        return resolved.name
-    return resolved
 
 
 def _emit_rows(rows, fmt: str, header: tuple[str, ...], out) -> None:
@@ -109,24 +103,9 @@ def cmd_compute(args) -> int:
         if not names:
             print("error: no index named; use --index NAME[,NAME...] or --all", file=sys.stderr)
             return 2
-    if args.degree:
-        names = [_override_source(n, args.degree) for n in names]
-    rows = _compute_rows(g, args.graph, names, args.general_a, args.float)
-    if not args.float:
-        rows = [row[:3] + ("",) for row in rows]
+    rows = _compute_rows(g, args.graph, names, args.degree, args.general_a, args.float)
     _emit_rows(rows, args.format, ("graph", "index", "value", "approx"), sys.stdout)
     return 0
-
-
-def _override_source(name: str, source: str):
-    resolved, a_inline = lookup(name)
-    if not isinstance(resolved, Descriptor):
-        return name
-    replaced = Descriptor(source, resolved.variant, resolved.transform,
-                          resolved.aggregation, resolved.form)
-    if a_inline is not None:
-        return f"{replaced.name}(a={a_inline})"
-    return replaced.name
 
 
 def cmd_verify(args) -> int:

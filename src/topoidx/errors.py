@@ -41,14 +41,6 @@ class GraphTooLarge(TopoidxError):
     """Graph exceeds the exhaustive domination solver's vertex bound."""
 
 
-class TemperatureUndefined(TopoidxError):
-    """Vertex temperature d/(n-d) undefined because d(u) = n."""
-
-
-class BanhattiUndefined(TopoidxError):
-    """Banhatti degree d(e)/(n-d(u)) undefined because d(u) = n."""
-
-
 class InverseUndefined(TopoidxError):
     """Reciprocal transform met a zero per-edge kernel."""
 

@@ -15,7 +15,6 @@ are immutable once built and safe to share between threads.
 from __future__ import annotations
 
 import math
-import re
 from fractions import Fraction
 from itertools import repeat
 from typing import Iterable, Mapping, Union
@@ -102,16 +101,14 @@ def sqrt_sum(radicands: Iterable[tuple[RatLike, int]]) -> Union[Rat, float]:
     return exact_total
 
 
-_TERM_RE = re.compile(r"^(-?\d+)\*x\^(-?\d+)(?:/(\d+))?$")
-
-
 class ExpPoly:
     """Sparse polynomial in one variable with rational exponents.
 
     Terms map exponent -> integer coefficient; zero coefficients are never
     stored and exponents are unique, so equality is structural.  Instances
-    are immutable.  A float exponent (a non-integer general power) raises
-    UnsupportedEvaluation: exponents must stay rational.
+    are immutable.  A float exponent (a non-integer general power) and a
+    non-integral coefficient raise UnsupportedEvaluation: exponents must stay
+    rational and coefficients integral.
     """
 
     __slots__ = ("_terms",)
@@ -126,8 +123,12 @@ class ExpPoly:
                         "exponential form needs rational exponents; "
                         "non-integer general powers are value-form only"
                     )
+                if type(coeff) is not int:
+                    if coeff != int(coeff):
+                        raise UnsupportedEvaluation(f"coefficient {coeff} is not an integer")
+                    coeff = int(coeff)
                 exponent = Fraction(exponent)
-                acc[exponent] = acc.get(exponent, 0) + int(coeff)
+                acc[exponent] = acc.get(exponent, 0) + coeff
         for e in [e for e, c in acc.items() if c == 0]:
             del acc[e]
         object.__setattr__(self, "_terms", acc)
@@ -136,22 +137,12 @@ class ExpPoly:
         raise AttributeError("ExpPoly is immutable")
 
     @classmethod
-    def zero(cls) -> "ExpPoly":
-        return cls()
-
-    @classmethod
     def monomial(cls, exponent: RatLike, coeff: int = 1) -> "ExpPoly":
         return cls({exponent: coeff})
 
     def terms(self) -> list[tuple[Fraction, int]]:
         """Term list in canonical order (descending exponent)."""
         return sorted(self._terms.items(), key=lambda item: item[0], reverse=True)
-
-    def coefficient(self, exponent: RatLike) -> int:
-        return self._terms.get(Fraction(exponent), 0)
-
-    def is_zero(self) -> bool:
-        return not self._terms
 
     def __len__(self) -> int:
         return len(self._terms)
@@ -172,20 +163,16 @@ class ExpPoly:
             merged[e] = merged.get(e, 0) + c
         return ExpPoly(merged)
 
-    def __mul__(self, other) -> "ExpPoly":
-        if isinstance(other, int):
-            return ExpPoly({e: c * other for e, c in self._terms.items()})
-        if isinstance(other, ExpPoly):
-            # Product of monomials adds exponents: x^e1 * x^e2 = x^(e1+e2).
-            out: dict[Fraction, int] = {}
-            for e1, c1 in self._terms.items():
-                for e2, c2 in other._terms.items():
-                    e = e1 + e2
-                    out[e] = out.get(e, 0) + c1 * c2
-            return ExpPoly(out)
-        return NotImplemented
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "ExpPoly") -> "ExpPoly":
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
+        # Product of monomials adds exponents: x^e1 * x^e2 = x^(e1+e2).
+        out: dict[Fraction, int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                e = e1 + e2
+                out[e] = out.get(e, 0) + c1 * c2
+        return ExpPoly(out)
 
     def evaluate(self, x: RatLike) -> Rat:
         """Exact evaluation at a rational point.
@@ -231,21 +218,6 @@ class ExpPoly:
 
     def __repr__(self) -> str:
         return f"ExpPoly({self.render()!r})"
-
-    @classmethod
-    def parse(cls, text: str) -> "ExpPoly":
-        """Inverse of render: parse(render(p)) == p for canonical output."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero()
-        terms = []
-        for part in text.split(" + "):
-            match = _TERM_RE.match(part.strip())
-            if match is None:
-                raise UnsupportedEvaluation(f"unparseable polynomial term {part!r}")
-            coeff, num, den = match.groups()
-            terms.append((Fraction(int(num), int(den) if den else 1), int(coeff)))
-        return cls(terms)
 
 
 def render_value(value) -> str:

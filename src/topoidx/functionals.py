@@ -13,8 +13,9 @@ drawn from one of these sources:
   nbd          sum of the degrees of u's neighbors
 
 plus closeness centrality and the maximum-degree-deviation (CL) degree used
-by the standalone indices.  All functions are pure; per-source tables are
-cached against the immutable graph.
+by the standalone indices.  On a simple graph every degree is at most n-1,
+so no banhatti or temperature denominator is zero.  All functions are pure;
+per-source tables are cached against the immutable graph.
 """
 
 from __future__ import annotations
@@ -24,12 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import (
-    BanhattiUndefined,
-    DisconnectedGraph,
-    GraphTooLarge,
-    TemperatureUndefined,
-)
+from .errors import DisconnectedGraph, GraphTooLarge, UnsupportedEvaluation
 from .graph import Graph, bfs_distances
 
 SOURCES = ("plain", "banhatti", "revan", "domination", "temperature", "kv", "nbd")
@@ -39,7 +35,13 @@ DOMINATION_MAX_DEFAULT = 24
 
 
 def domination_bound() -> int:
-    return int(os.environ.get(DOMINATION_MAX_ENV, DOMINATION_MAX_DEFAULT))
+    text = os.environ.get(DOMINATION_MAX_ENV, str(DOMINATION_MAX_DEFAULT))
+    try:
+        return int(text)
+    except ValueError:
+        raise UnsupportedEvaluation(
+            f"{DOMINATION_MAX_ENV}={text!r} is not an integer vertex bound"
+        ) from None
 
 
 def plain_degrees(g: Graph) -> tuple[int, ...]:
@@ -54,13 +56,7 @@ def revan_degrees(g: Graph) -> tuple[int, ...]:
 
 
 def temperatures(g: Graph) -> tuple[Fraction, ...]:
-    out = []
-    for u, d in enumerate(g.degrees):
-        if d >= g.n:
-            # Impossible on a simple graph (d <= n-1) but the formula divides.
-            raise TemperatureUndefined(f"vertex {u} has degree {d} = n")
-        out.append(Fraction(d, g.n - d))
-    return tuple(out)
+    return tuple(Fraction(d, g.n - d) for d in g.degrees)
 
 
 def kv_products(g: Graph) -> tuple[int, ...]:
@@ -80,9 +76,6 @@ def neighbor_degree_sums(g: Graph) -> tuple[int, ...]:
 def banhatti_pair(g: Graph, u: int, v: int) -> tuple[Fraction, Fraction]:
     """Banhatti degrees of both endpoints of the edge uv."""
     d_e = g.degrees[u] + g.degrees[v] - 2
-    for w in (u, v):
-        if g.degrees[w] >= g.n:
-            raise BanhattiUndefined(f"vertex {w} has degree {g.degrees[w]} = n")
     return Fraction(d_e, g.n - g.degrees[u]), Fraction(d_e, g.n - g.degrees[v])
 
 
@@ -126,15 +119,13 @@ def _closed_masks(g: Graph) -> list[int]:
     return masks
 
 
-def domination_degrees(g: Graph, bound: int | None = None) -> tuple[int, ...]:
-    bound = domination_bound() if bound is None else bound
+def domination_degrees(g: Graph) -> tuple[int, ...]:
+    bound = domination_bound()
     if g.n > bound:
         raise GraphTooLarge(
             f"{g.n} vertices exceeds domination solver bound {bound} "
             f"(override with {DOMINATION_MAX_ENV})"
         )
-    if g.n == 0:
-        return ()
     masks = _closed_masks(g)
     full = (1 << g.n) - 1
     result: list = [None] * g.n

@@ -80,12 +80,6 @@ def bfs_distances(g: Graph, source: int) -> list:
     return dist
 
 
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return all(d is not None for d in bfs_distances(g, 0))
-
-
 # --- family generators -----------------------------------------------------
 
 

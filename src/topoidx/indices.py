@@ -31,7 +31,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import product, repeat, starmap
 from typing import Optional, Union
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
@@ -52,9 +52,7 @@ _SOURCE_STEM = {
     "kv": "RLKV",
     "nbd": "NRL",
 }
-_STEM_SOURCE = {stem: src for src, stem in _SOURCE_STEM.items()}
 _TRANSFORM_PREFIX = {"identity": "", "hyper": "H", "inverse": "I", "general": "G"}
-_PREFIX_TRANSFORM = {prefix: t for t, prefix in _TRANSFORM_PREFIX.items()}
 
 
 @dataclass(frozen=True)
@@ -88,80 +86,6 @@ class Descriptor:
             + str(self.variant)
             + ("exp" if self.form == "exponential" else "")
         )
-
-
-_SPECIAL_ALIASES = {
-    "C1": "RL7",
-    "C2": "RL8",
-    "FC": "RL9",
-    "CSO": "RL10",
-    "CN": "RL11",
-    "AC": "RL12",
-    "FRL": "RL15",
-    "SCL": "RL16",
-    "NCL": "RL17",
-    "HRL": "HeronianRL",
-    "HERONIANRL": "HeronianRL",
-    "HERONIAN": "HeronianRL",
-}
-
-_CATALOG_RE = re.compile(r"^(M?)(H|I|G)?(RLKV|BRL|RRL|DRL|TRL|NRL|RL)([1-4])(EXP)?$")
-_PARAM_RE = re.compile(r"^(?P<base>[A-Z0-9]+?)\(A=(?P<a>-?\d+(?:/\d+)?)\)$")
-
-
-def registry_names() -> list[str]:
-    """All 448 catalog names in canonical order."""
-    names = []
-    for source in SOURCES:
-        for variant in (1, 2, 3, 4):
-            for transform in TRANSFORMS:
-                for aggregation in AGGREGATIONS:
-                    for form in FORMS:
-                        names.append(Descriptor(source, variant, transform, aggregation, form).name)
-    return names
-
-
-def all_index_names() -> list[str]:
-    return registry_names() + list(SPECIAL_NAMES)
-
-
-def lookup(name: str) -> tuple[Union[Descriptor, str], Optional[Rat]]:
-    """Resolve a registry name (case-insensitive, underscores ignored).
-
-    Returns (Descriptor, a) for catalog entries, where ``a`` is the general
-    power parameter if the name carried one (``GRL1(a=3)`` style), or
-    (special_name, None) for the standalone indices.
-    """
-    cleaned = re.sub(r"[\s_]+", "", name).upper()
-    a_param: Optional[Rat] = None
-    with_param = _PARAM_RE.match(cleaned)
-    if with_param:
-        cleaned = with_param.group("base")
-        a_param = parse_rat(with_param.group("a"))
-
-    for special in SPECIAL_NAMES:
-        if cleaned == special.upper():
-            return special, a_param
-    if cleaned in _SPECIAL_ALIASES:
-        return _SPECIAL_ALIASES[cleaned], a_param
-
-    match = _CATALOG_RE.match(cleaned)
-    if match:
-        mult, prefix, stem, digit, exp = match.groups()
-        return (
-            Descriptor(
-                source=_STEM_SOURCE[stem],
-                variant=int(digit),
-                transform=_PREFIX_TRANSFORM[prefix or ""],
-                aggregation="product" if mult else "sum",
-                form="exponential" if exp else "value",
-            ),
-            a_param,
-        )
-
-    candidates = [n.upper() for n in all_index_names()]
-    close = difflib.get_close_matches(cleaned, candidates, n=1)
-    raise UnknownIndexName(name, suggestion=close[0] if close else None)
 
 
 def kernel(variant: int, a, b):
@@ -263,18 +187,75 @@ def _evaluate_standalone(g: Graph, name: str):
     return linear + sqrt_sum((radicand(a, b), c) for (a, b), c in census.items())
 
 
+# --- names ------------------------------------------------------------------
+
+_SPECIAL_ALIASES = {
+    "C1": "RL7",
+    "C2": "RL8",
+    "FC": "RL9",
+    "CSO": "RL10",
+    "CN": "RL11",
+    "AC": "RL12",
+    "FRL": "RL15",
+    "SCL": "RL16",
+    "NCL": "RL17",
+    "HRL": "HeronianRL",
+    "HERONIAN": "HeronianRL",
+}
+
+# Upper-cased name -> Descriptor (in canonical order), standalone name or alias.
+_NAMES: dict[str, Union[Descriptor, str]] = {
+    d.name.upper(): d
+    for d in starmap(Descriptor, product(SOURCES, (1, 2, 3, 4), TRANSFORMS, AGGREGATIONS, FORMS))
+}
+_NAMES.update({name.upper(): name for name in SPECIAL_NAMES})
+_NAMES.update(_SPECIAL_ALIASES)
+
+_PARAM_RE = re.compile(r"^(?P<base>[A-Z0-9]+?)\(A=(?P<a>-?\d+(?:/\d+)?)\)$")
+
+
+def registry_names() -> list[str]:
+    """All 448 catalog names in canonical order."""
+    return [d.name for d in _NAMES.values() if isinstance(d, Descriptor)]
+
+
+def all_index_names() -> list[str]:
+    return registry_names() + list(SPECIAL_NAMES)
+
+
+def lookup(name: str) -> tuple[Union[Descriptor, str], Optional[Rat]]:
+    """Resolve a registry name (case-insensitive, underscores ignored).
+
+    Returns (Descriptor, a) for catalog entries, where ``a`` is the general
+    power parameter if the name carried one (``GRL1(a=3)`` style), or
+    (special_name, a) for the standalone indices, which ignore ``a``.
+    """
+    cleaned = re.sub(r"[\s_]+", "", name).upper()
+    a_param: Optional[Rat] = None
+    with_param = _PARAM_RE.match(cleaned)
+    if with_param:
+        cleaned = with_param.group("base")
+        a_param = parse_rat(with_param.group("a"))
+    resolved = _NAMES.get(cleaned)
+    if resolved is None:
+        candidates = [n.upper() for n in all_index_names()]
+        close = difflib.get_close_matches(cleaned, candidates, n=1)
+        raise UnknownIndexName(name, suggestion=close[0] if close else None)
+    return resolved, a_param
+
+
 def evaluate(g: Graph, index: Union[str, Descriptor], a: Optional[Rat] = None):
     """Evaluate any registered index (catalog or standalone) on ``g``.
 
     ``a`` supplies the general-transform power when the name itself does not
     carry one.  Pure function; safe to call concurrently on a shared graph.
     """
+    if not isinstance(index, Descriptor):
+        index, a_inline = lookup(index)
+        a = a if a_inline is None else a_inline
     if isinstance(index, Descriptor):
         return evaluate_descriptor(g, index, a)
-    resolved, a_inline = lookup(index)
-    if isinstance(resolved, Descriptor):
-        return evaluate_descriptor(g, resolved, a_inline if a_inline is not None else a)
-    return _evaluate_standalone(g, resolved)
+    return _evaluate_standalone(g, index)
 
 
 def describe(name: str) -> tuple[str, str, str, str, str, str]:

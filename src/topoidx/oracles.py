@@ -501,10 +501,6 @@ _add("kmn", "DRL2exp", "mn x^(m^2+n^2-mn+m+n+1)", "2 <= m <= n")
 # --- public API -----------------------------------------------------------------
 
 
-def oracle_entries() -> dict[str, OracleEntry]:
-    return dict(_ENTRIES)
-
-
 def oracle_ids() -> list[str]:
     return sorted(_ENTRIES)
 

@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from topoidx.graph import Graph, generate_family, is_connected
+from topoidx.graph import Graph, bfs_distances, generate_family
+
+
+def is_connected(g: Graph) -> bool:
+    if g.n <= 1:
+        return True
+    return all(d is not None for d in bfs_distances(g, 0))
 
 
 def random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:

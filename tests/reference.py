@@ -2,6 +2,7 @@
 
 Nothing in the package imports this module.  ``domination_degrees_bruteforce``
 is the independent domination oracle of acceptance criterion 5.
+``parse_poly`` inverts ``ExpPoly.render``.
 ``evaluate_descriptor`` (with ``_transformed_kernels``) and
 ``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
 that preceded the edge-census fold, kept verbatim so the census fold can be
@@ -9,6 +10,7 @@ tested against them.
 """
 
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Union
@@ -55,6 +57,24 @@ def domination_degrees_bruteforce(g: Graph) -> tuple[int, ...]:
         if len(best) == g.n:
             break
     return tuple(best[u] for u in vertices)
+
+
+_TERM_RE = re.compile(r"^(-?\d+)\*x\^(-?\d+)(?:/(\d+))?$")
+
+
+def parse_poly(text: str) -> ExpPoly:
+    """Inverse of render: parse_poly(p.render()) == p for canonical output."""
+    text = text.strip()
+    if text == "0":
+        return ExpPoly()
+    terms = []
+    for part in text.split(" + "):
+        match = _TERM_RE.match(part.strip())
+        if match is None:
+            raise UnsupportedEvaluation(f"unparseable polynomial term {part!r}")
+        coeff, num, den = match.groups()
+        terms.append((Fraction(int(num), int(den) if den else 1), int(coeff)))
+    return ExpPoly(terms)
 
 
 def _transformed_kernels(g: Graph, d: Descriptor, a_param: Optional[Rat]):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from topoidx import cli, evaluate, generate_family
+from topoidx.functionals import vertex_table
 from topoidx.oracles import baseline_from_results, load_baseline, run_verification
 
 
@@ -149,6 +150,14 @@ class TestCompute:
         assert code == 0
         assert out.splitlines()[1].split(",")[3] == "inf"
 
+    def test_unreadable_domination_bound(self, w3_file, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
+        vertex_table.cache_clear()  # a cached domination table skips the bound
+        code, out, _ = run_cli(capsys, "compute", w3_file, "--index", "DRL1,RL1", "--format", "csv")
+        assert code == 0
+        rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
+        assert rows == {"DRL1": "ERROR:UnsupportedEvaluation", "RL1": "162/1"}
+
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2
@@ -160,6 +169,13 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--range", "3..6", "--format", "csv")
         assert code == 0
         assert "0 deviations" in err
+
+    def test_unreadable_domination_bound(self, capsys, monkeypatch):
+        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
+        code, out, err = run_cli(capsys, "verify", "--family", "wheel")
+        assert code == 2
+        assert out == ""
+        assert err == "error: TOPOIDX_DOMINATION_MAX='abc' is not an integer vertex bound\n"
 
     def test_single_oracle_rows(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--oracle", "NRL1/cycle",

@@ -5,7 +5,8 @@
 per-edge folds it replaced.  On small random graphs, connected or not, the two
 must agree exactly, down to the exception type and the edge an
 ``InverseUndefined`` names.  Non-integer general powers are floats summed per
-class instead of per edge, so they are compared to 1e-12 relative.
+class instead of per edge, so they are compared to 1e-12 relative.  Indices
+over the neighbourhood-local sources also fold over a disjoint union.
 """
 
 import math
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoidx.errors import InverseUndefined, TopoidxError
+from topoidx.exact import ExpPoly
 from topoidx.graph import Graph
 from topoidx.indices import (
     SPECIAL_NAMES,
@@ -35,8 +37,8 @@ EXAMPLES = settings(max_examples=15, deadline=None)
 
 
 @st.composite
-def graphs(draw):
-    n = draw(st.integers(1, 8))
+def graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
     pairs = list(combinations(range(n), 2))
     mask = draw(st.integers(0, 2 ** len(pairs) - 1))
     return Graph(n, [pair for i, pair in enumerate(pairs) if mask >> i & 1])
@@ -101,3 +103,39 @@ def test_every_name_invariant_under_relabelling(data):
         assert type(got) is type(want), (name, got, want)
         if not isinstance(want, Exception):
             assert got == want, (name, got, want)
+
+
+# Sources whose value at a vertex depends only on its neighbourhood, so a
+# disjoint union leaves every endpoint value, and so every edge term, as it was.
+LOCAL = [d for d in DESCRIPTORS if d.source in ("plain", "kv", "nbd")]
+LOCAL_STANDALONE = ("RL5", "RL6", "RL13", "RL14", "RL15")
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+
+
+def combine(d, x, y):
+    """The index of G + H from the indices of G and H.
+
+    Sums and exp polynomials add; products multiply, and so do the M...exp
+    monomials x^(sum of edge terms).
+    """
+    return x + y if d.aggregation == "sum" else x * y
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(max_n=7), graphs(max_n=7))
+def test_local_indices_fold_over_disjoint_union(g, h):
+    union = disjoint_union(g, h)
+    for d in LOCAL:
+        for a in (2, -1) if d.transform == "general" else (None,):
+            x, y = outcome(evaluate, g, d, a), outcome(evaluate, h, d, a)
+            got = outcome(evaluate, union, d, a)
+            if isinstance(x, InverseUndefined) or isinstance(y, InverseUndefined):
+                assert isinstance(got, InverseUndefined), (d.name, a)
+                continue
+            assert got == combine(d, x, y), (d.name, a)
+            assert type(got) is (ExpPoly if d.form == "exponential" else F), (d.name, a)
+    for name in LOCAL_STANDALONE:
+        assert evaluate(union, name) == evaluate(g, name) + evaluate(h, name), name

@@ -153,3 +153,33 @@ class TestRegularConstancy:
         assert set(cl_degrees(g)) == {0}
         for u, v in g.edges:
             assert banhatti_pair(g, u, v) == (F(2 * r - 2, n - r),) * 2
+
+
+class TestAgainstNetworkx:
+    """Closeness and neighbour-degree sums from an independent graph library."""
+
+    @pytest.fixture(scope="class")
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def as_nx(nx, g):
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        return h
+
+    def test_closeness(self, nx, small_families):
+        rng = random.Random(2402)
+        graphs = [g for _, g in small_families if g.n > 1]
+        graphs += [random_connected_graph(rng, rng.randint(2, 9)) for _ in range(20)]
+        for g in graphs:
+            lengths = dict(nx.all_pairs_shortest_path_length(self.as_nx(nx, g)))
+            expected = tuple(F(g.n - 1, sum(lengths[u].values())) for u in range(g.n))
+            assert closeness(g) == expected, g
+
+    def test_neighbor_degree_sums(self, nx, small_families):
+        for label, g in small_families + [("two edges", Graph(5, [(0, 1), (1, 2)]))]:
+            h = self.as_nx(nx, g)
+            expected = tuple(sum(h.degree[w] for w in h[u]) for u in range(g.n))
+            assert neighbor_degree_sums(g) == expected, label

@@ -73,3 +73,26 @@ def test_compute_all_csv_float(label, tmp_path, capsys):
     out = _stdout(capsys, "compute", path, "--all", "--format", "csv", "--float")
     # The graph column holds the file path; the digest is over the label.
     assert _sha(out.replace(path + ",", label + ",")) == digest
+
+
+# The name path: --degree over every name, inline (a=...) on general,
+# non-general and standalone names, aliases, and case and underscores.
+COMPUTE_NAMES = {
+    "sunflower_3_kv": (generate_family("sunflower", 3),
+                       ["--all", "--degree", "kv", "--format", "csv", "--float"],
+                       "a62d929b2585f58bac8cff9f58eb7e8279d3e533d38748931fa2a6ff391cfcc8"),
+    "path_5_banhatti": (generate_family("path", 5),
+                        ["--index", "GRL1(a=3),RL1(a=5),RL7(a=2),c1,HERONIAN,rl_1_exp,"
+                                    "m_i_rl1,GBRL2",
+                         "--degree", "banhatti", "--format", "json"],
+                        "a66d37da4afa0539e59489340ff75b1bc34cf5f5f723321bccaefc4de3798efc"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COMPUTE_NAMES))
+def test_compute_names(label, tmp_path, capsys):
+    g, argv, digest = COMPUTE_NAMES[label]
+    path = str(tmp_path / f"{label}.g")
+    write_graph(g, path)
+    out = _stdout(capsys, "compute", path, *argv)
+    assert _sha(out.replace(path, label)) == digest

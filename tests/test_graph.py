@@ -20,9 +20,10 @@ from topoidx.graph import (
     dumps,
     generate,
     generate_family,
-    is_connected,
     loads,
 )
+
+from conftest import is_connected
 
 
 def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:

@@ -51,6 +51,33 @@ class TestRegistry:
         assert lookup("HRL")[0] == "HeronianRL"
         assert lookup("HRL1")[0] == Descriptor("plain", 1, "hyper", "sum", "value")
 
+    def test_every_name_resolves_to_itself(self):
+        for name in registry_names():
+            for spelling in (name, name.lower(), "_".join(name)):
+                resolved, a = lookup(spelling)
+                assert resolved.name == name and a is None, spelling
+
+    def test_every_alias_resolves(self):
+        aliases = {
+            "C1": "RL7", "C2": "RL8", "FC": "RL9", "CSO": "RL10", "CN": "RL11", "AC": "RL12",
+            "FRL": "RL15", "SCL": "RL16", "NCL": "RL17",
+            "HRL": "HeronianRL", "HERONIAN": "HeronianRL", "heronian_rl": "HeronianRL",
+        }
+        for alias, name in aliases.items():
+            assert lookup(alias) == (name, None), alias
+            assert lookup(alias.lower()) == (name, None), alias
+
+    @pytest.mark.parametrize("name, message", [
+        ("RLX9", "unknown index name 'RLX9' (did you mean 'RL9'?)"),
+        ("HERONIANX", "unknown index name 'HERONIANX' (did you mean 'HERONIANRL'?)"),
+        ("mirl5", "unknown index name 'mirl5' (did you mean 'MIRL4'?)"),
+        ("C3", "unknown index name 'C3'"),
+    ])
+    def test_unknown_name_message(self, name, message):
+        with pytest.raises(UnknownIndexName) as err:
+            lookup(name)
+        assert str(err.value) == message
+
     def test_unknown_name(self):
         with pytest.raises(UnknownIndexName):
             lookup("bogus")
@@ -80,7 +107,7 @@ class TestCatalogValues:
 
     def test_exponential_form(self):
         poly = evaluate(generate_family("wheel", 4), "RL1exp")
-        assert poly == ExpPoly.parse("4*x^37 + 4*x^27")
+        assert poly == ExpPoly({37: 4, 27: 4})
 
     def test_multiplicative(self):
         assert evaluate(generate_family("cycle", 3), "MRL1") == 12**3

@@ -4,15 +4,15 @@ from fractions import Fraction
 
 import pytest
 
-from topoidx.errors import ParamsOutOfStatedRange
+from topoidx.errors import ParamsOutOfStatedRange, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
 from topoidx.oracles import (
     OracleEntry,
     _family_points,
     baseline_from_results,
     compare_to_baseline,
+    _ENTRIES,
     load_baseline,
-    oracle_entries,
     oracle_eval,
     oracle_ids,
     run_verification,
@@ -43,7 +43,7 @@ class TestOracleEval:
 
     def test_every_entry_evaluates_at_default_point(self):
         defaults = {"n": 4, "r": 2, "m": 3, "p": 2, "q": 2}
-        for oracle_id, entry in oracle_entries().items():
+        for oracle_id, entry in _ENTRIES.items():
             names = next(_family_points(entry.family, 4, 4))
             params = {name: defaults[name] for name in names}
             if entry.family == "windmill":
@@ -60,6 +60,13 @@ class TestOracleEval:
         entry = OracleEntry("RL4/wheel", "wheel", "RL4", text, "n >= 3")
         with pytest.raises(ValueError, match="RL4/wheel"):
             entry.eval(n=4)
+
+    def test_non_integral_polynomial_coefficient_is_an_error(self):
+        # Truncating 3/2 to 1 would compare a polynomial nobody published.
+        entry = OracleEntry("RL1exp/wheel", "wheel", "RL1exp", "(n/2) x^3", "n >= 3")
+        with pytest.raises(UnsupportedEvaluation, match="3/2"):
+            entry.eval(n=3)
+        assert entry.eval(n=4) == ExpPoly({3: 2})
 
 
 class TestVerification:
