@@ -19,12 +19,11 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .errors import TopoidxError
 from .exact import ExpPoly, parse_rat, render_value
-from .functionals import SOURCES, VERTEX_TABLES, vertex_table
+from .functionals import VERTEX_TABLES, check_domination_bound, vertex_table
 from .graph import FamilySpec, dumps, generate, read_graph
 from .indices import Descriptor, all_index_names, describe, evaluate, lookup
 from .oracles import (
@@ -57,13 +56,11 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _compute_rows(g, graph_label: str, names, degree, general_a, float_out: bool):
+def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
     rows = []
     for name in names:
         resolved, a = lookup(name)
         if isinstance(resolved, Descriptor):
-            if degree:
-                resolved = replace(resolved, source=degree)
             if a is None and resolved.transform == "general":
                 a = general_a
             label = resolved.name if a is None else f"{resolved.name}(a={a})"
@@ -103,12 +100,13 @@ def cmd_compute(args) -> int:
         if not names:
             print("error: no index named; use --index NAME[,NAME...] or --all", file=sys.stderr)
             return 2
-    rows = _compute_rows(g, args.graph, names, args.degree, args.general_a, args.float)
+    rows = _compute_rows(g, args.graph, names, args.general_a, args.float)
     _emit_rows(rows, args.format, ("graph", "index", "value", "approx"), sys.stdout)
     return 0
 
 
 def cmd_verify(args) -> int:
+    baseline = None if args.update_baseline else load_baseline(args.baseline)
     lo, hi = args.range
     results = run_verification(
         families=args.family or None,
@@ -129,7 +127,6 @@ def cmd_verify(args) -> int:
             handle.write("\n")
         print(f"baseline written: {args.update_baseline}", file=sys.stderr)
         return 0
-    baseline = load_baseline(args.baseline)
     deviations, unknown = compare_to_baseline(results, baseline)
     stale = sorted(set(baseline) - set(oracle_ids()))
     confirmed = sum(1 for r in results if r.verdict == "CONFIRMED")
@@ -160,6 +157,8 @@ def cmd_list_indices(args) -> int:
 
 def cmd_functionals(args) -> int:
     g = read_graph(args.graph)
+    if args.source == "domination":  # the cached table does not re-read the bound
+        check_domination_bound(g)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("vertex", "value_num", "value_den"))
     for vertex, value in enumerate(vertex_table(g, args.source)):
@@ -208,8 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_compute.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_compute.add_argument("--float", action="store_true",
                            help="add a 12-significant-digit float column")
-    p_compute.add_argument("--degree", choices=SOURCES,
-                           help="override the functional source of the named indices")
     p_compute.add_argument("--general-a", type=_rat_arg, default=Fraction(2),
                            metavar="RAT",
                            help="power used for general-transform entries without "

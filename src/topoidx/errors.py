@@ -65,3 +65,7 @@ class ParamsOutOfStatedRange(TopoidxError, ValueError):
 
 class GraphFileError(TopoidxError, ValueError):
     """Malformed edge-list file; message includes the offending line number."""
+
+
+class BaselineFileError(TopoidxError, ValueError):
+    """Verdict baseline file that is not a JSON object of oracle records."""

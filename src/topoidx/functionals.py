@@ -28,8 +28,6 @@ from itertools import combinations
 from .errors import DisconnectedGraph, GraphTooLarge, UnsupportedEvaluation
 from .graph import Graph, bfs_distances
 
-SOURCES = ("plain", "banhatti", "revan", "domination", "temperature", "kv", "nbd")
-
 DOMINATION_MAX_ENV = "TOPOIDX_DOMINATION_MAX"
 DOMINATION_MAX_DEFAULT = 24
 
@@ -119,13 +117,17 @@ def _closed_masks(g: Graph) -> list[int]:
     return masks
 
 
-def domination_degrees(g: Graph) -> tuple[int, ...]:
+def check_domination_bound(g: Graph) -> None:
     bound = domination_bound()
     if g.n > bound:
         raise GraphTooLarge(
             f"{g.n} vertices exceeds domination solver bound {bound} "
             f"(override with {DOMINATION_MAX_ENV})"
         )
+
+
+def domination_degrees(g: Graph) -> tuple[int, ...]:
+    check_domination_bound(g)
     masks = _closed_masks(g)
     full = (1 << g.n) - 1
     result: list = [None] * g.n
@@ -193,6 +195,8 @@ def edge_endpoint_values(g: Graph, source: str):
             b_u, b_v = banhatti_pair(g, u, v)
             yield u, v, b_u, b_v
     else:
+        if source == "domination":  # the cached table does not re-read the bound
+            check_domination_bound(g)
         table = vertex_table(g, source)
         for u, v in g.edges:
             yield u, v, table[u], table[v]

@@ -265,8 +265,13 @@ def loads(text: str) -> Graph:
 
 
 def read_graph(path) -> Graph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return loads(handle.read())
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphFileError(f"{path}: byte offset {exc.start}: not UTF-8 text") from None
+    return loads(text)
 
 
 def write_graph(g: Graph, path, comment: str | None = None) -> None:

@@ -6,7 +6,7 @@ A catalog index is addressed by five coordinates:
   variant      per-edge kernel over endpoint values a, b:
                  1: a^2 + b^2 + a*b
                  2: a^2 + b^2 - a*b
-                 3: a - b + a*b with a the larger endpoint value (= |a-b| + a*b)
+                 3: |a-b| + a*b (= a - b + a*b with a the larger endpoint value)
                  4: |a-b| * a*b
   transform    identity, hyper (square), inverse (reciprocal), general (power a)
   aggregation  sum or product over edges
@@ -36,12 +36,8 @@ from typing import Optional, Union
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from .exact import ExpPoly, Rat, general_pow, parse_rat, sqrt_sum
-from .functionals import SOURCES, edge_census, edge_endpoint_values
+from .functionals import edge_census, edge_endpoint_values
 from .graph import Graph
-
-TRANSFORMS = ("identity", "hyper", "inverse", "general")
-AGGREGATIONS = ("sum", "product")
-FORMS = ("value", "exponential")
 
 _SOURCE_STEM = {
     "plain": "RL",
@@ -52,7 +48,27 @@ _SOURCE_STEM = {
     "kv": "RLKV",
     "nbd": "NRL",
 }
-_TRANSFORM_PREFIX = {"identity": "", "hyper": "H", "inverse": "I", "general": "G"}
+SOURCES = tuple(_SOURCE_STEM)
+
+# variant -> per-edge kernel; each is symmetric in the endpoint values, so it
+# is one value per sorted census pair.
+_KERNELS = {
+    1: lambda a, b: a * a + b * b + a * b,
+    2: lambda a, b: a * a + b * b - a * b,
+    3: lambda a, b: abs(a - b) + a * b,
+    4: lambda a, b: abs(a - b) * a * b,
+}
+
+# transform -> (name prefix, per-class term from the kernel k and the general power a).
+_TRANSFORMS = {
+    "identity": ("", lambda k, a: k),
+    "hyper": ("H", lambda k, a: k * k),
+    "inverse": ("I", lambda k, a: Fraction(1) / Fraction(k)),
+    "general": ("G", lambda k, a: general_pow(Fraction(k), a)),
+}
+TRANSFORMS = tuple(_TRANSFORMS)
+AGGREGATIONS = ("sum", "product")
+FORMS = ("value", "exponential")
 
 
 @dataclass(frozen=True)
@@ -66,11 +82,11 @@ class Descriptor:
     form: str
 
     def __post_init__(self):
-        if self.source not in SOURCES:
+        if self.source not in _SOURCE_STEM:
             raise ValueError(f"bad source {self.source!r}")
-        if self.variant not in (1, 2, 3, 4):
+        if self.variant not in _KERNELS:
             raise ValueError(f"bad variant {self.variant!r}")
-        if self.transform not in TRANSFORMS:
+        if self.transform not in _TRANSFORMS:
             raise ValueError(f"bad transform {self.transform!r}")
         if self.aggregation not in AGGREGATIONS:
             raise ValueError(f"bad aggregation {self.aggregation!r}")
@@ -81,48 +97,35 @@ class Descriptor:
     def name(self) -> str:
         return (
             ("M" if self.aggregation == "product" else "")
-            + _TRANSFORM_PREFIX[self.transform]
+            + _TRANSFORMS[self.transform][0]
             + _SOURCE_STEM[self.source]
             + str(self.variant)
             + ("exp" if self.form == "exponential" else "")
         )
 
 
-def kernel(variant: int, a, b):
-    """The per-edge binary form for one kernel variant."""
-    if variant == 1:
-        return a * a + b * b + a * b
-    if variant == 2:
-        return a * a + b * b - a * b
-    if variant == 3:
-        hi, lo = (a, b) if a >= b else (b, a)
-        return hi - lo + hi * lo
-    if variant == 4:
-        return abs(a - b) * a * b
-    raise ValueError(f"bad variant {variant!r}")
+def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
+    """Fold a per-class term over an edge census; every index is one such fold.
 
-
-# transform -> per-class term from the kernel k and the general power a.
-_TRANSFORMS = {
-    "identity": lambda k, a: k,
-    "hyper": lambda k, a: k * k,
-    "inverse": lambda k, a: Fraction(1) / Fraction(k),
-    "general": lambda k, a: general_pow(Fraction(k), a),
-}
-
-
-def _power(t, c: int):
-    # A float power raises OverflowError where repeated products reach inf.
-    return math.prod(repeat(t, c)) if isinstance(t, float) else t**c
+    Each class (pair of endpoint values, count c) with term t contributes
+    c*t to a sum, t^c to a product and c*x^t to a polynomial.
+    """
+    terms = ((term(*pair), c) for pair, c in census.items())
+    if form == "exponential" and aggregation == "sum":
+        return ExpPoly(terms)
+    if form == "value" and aggregation == "product":
+        # A float power raises OverflowError where repeated products reach inf.
+        powers = (math.prod(repeat(t, c)) if isinstance(t, float) else t**c for t, c in terms)
+        return math.prod(powers, start=Fraction(1))
+    total = sum((c * t for t, c in terms), Fraction(0))
+    return total if form == "value" else ExpPoly.monomial(total)
 
 
 def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
     """Fold the transformed kernel over the edge census of ``g``.
 
-    Each class (pair of endpoint values, count c) with term t contributes
-    c*t to a sum, t^c to a product and c*x^t to a polynomial.  Returns an
-    exact Fraction (value form), an ExpPoly (exponential form), or a float
-    when a non-integer general power forces one.
+    Returns an exact Fraction (value form), an ExpPoly (exponential form), or
+    a float when a non-integer general power forces one.
     """
     if d.transform == "general":
         if a is None:
@@ -130,22 +133,17 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
                 f"{d.name} needs its power parameter, e.g. {d.name}(a=3)"
             )
         a = Fraction(a)
+    kernel = _KERNELS[d.variant]
     census = edge_census(g, d.source)
     if d.transform == "inverse" or (d.transform == "general" and a < 0):
-        if any(kernel(d.variant, *pair) == 0 for pair in census):
+        if any(kernel(*pair) == 0 for pair in census):
             # Error path only: name the first such edge in edge order.
             raise InverseUndefined(next(
                 (u, v) for u, v, val_u, val_v in edge_endpoint_values(g, d.source)
-                if kernel(d.variant, val_u, val_v) == 0
+                if kernel(val_u, val_v) == 0
             ))
-    transform = _TRANSFORMS[d.transform]
-    terms = ((transform(kernel(d.variant, *pair), a), c) for pair, c in census.items())
-    if d.form == "exponential" and d.aggregation == "sum":
-        return ExpPoly(terms)
-    if d.form == "value" and d.aggregation == "product":
-        return math.prod((_power(t, c) for t, c in terms), start=Fraction(1))
-    total = sum((c * t for t, c in terms), Fraction(0))
-    return total if d.form == "value" else ExpPoly.monomial(total)
+    transform = _TRANSFORMS[d.transform][1]
+    return _fold(census, lambda x, y: transform(kernel(x, y), a), d.aggregation, d.form)
 
 
 # --- standalone indices -------------------------------------------------------
@@ -178,9 +176,7 @@ SPECIAL_NAMES = tuple(_STANDALONE)
 def _evaluate_standalone(g: Graph, name: str):
     source, rational, radicand, _ = _STANDALONE[name]
     census = edge_census(g, source)
-    linear = Fraction(0)
-    if rational is not None:
-        linear = Fraction(sum(c * rational(a, b) for (a, b), c in census.items()))
+    linear = Fraction(0) if rational is None else _fold(census, rational, "sum", "value")
     if radicand is None:
         return linear
     # Fraction + float is float(linear) + roots.
@@ -206,7 +202,7 @@ _SPECIAL_ALIASES = {
 # Upper-cased name -> Descriptor (in canonical order), standalone name or alias.
 _NAMES: dict[str, Union[Descriptor, str]] = {
     d.name.upper(): d
-    for d in starmap(Descriptor, product(SOURCES, (1, 2, 3, 4), TRANSFORMS, AGGREGATIONS, FORMS))
+    for d in starmap(Descriptor, product(SOURCES, _KERNELS, TRANSFORMS, AGGREGATIONS, FORMS))
 }
 _NAMES.update({name.upper(): name for name in SPECIAL_NAMES})
 _NAMES.update(_SPECIAL_ALIASES)

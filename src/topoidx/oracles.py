@@ -28,7 +28,7 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
 
-from .errors import ParamsOutOfStatedRange, TopoidxError
+from .errors import BaselineFileError, ParamsOutOfStatedRange, TopoidxError
 from .exact import ExpPoly, render_value
 from .functionals import domination_bound
 from .graph import FamilySpec, generate
@@ -554,6 +554,11 @@ def run_verification(
     """
     family_filter = set(families) if families else None
     id_filter = set(ids) if ids else None
+    for kind, given, known in (("family", family_filter, _FAMILY_SPECS),
+                               ("id", id_filter, _ENTRIES)):
+        unknown = sorted((given or set()) - set(known))
+        if unknown:
+            raise ParamsOutOfStatedRange(f"unknown oracle {kind} {', '.join(map(repr, unknown))}")
     results = []
     graph_cache: dict[tuple, object] = {}
     bound = domination_bound()
@@ -621,9 +626,21 @@ def baseline_from_results(results: Iterable[OracleResult]) -> dict:
 
 
 def load_baseline(path=None) -> dict:
+    """Oracle id -> {"default": verdict, optional "exceptions": {point: verdict}}."""
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                baseline = json.load(handle)
+        except ValueError as exc:  # malformed JSON or not UTF-8
+            raise BaselineFileError(f"{path}: {exc}") from None
+        if not isinstance(baseline, dict) or not all(
+            isinstance(record, dict) and "default" in record
+            and isinstance(record.get("exceptions", {}), dict)
+            for record in baseline.values()
+        ):
+            raise BaselineFileError(f"{path}: expected an object of oracle id -> "
+                                    '{"default": verdict, "exceptions": {...}}')
+        return baseline
     text = resources.files("topoidx").joinpath("baseline.json").read_text(encoding="utf-8")
     return json.loads(text)
 

@@ -2,6 +2,8 @@
 
 Nothing in the package imports this module.  ``domination_degrees_bruteforce``
 is the independent domination oracle of acceptance criterion 5.
+``kernel`` is the per-edge kernel as an if-chain (variant 3 larger endpoint
+first), the reference for the engine's symmetric kernel table.
 ``parse_poly`` inverts ``ExpPoly.render``.
 ``evaluate_descriptor`` (with ``_transformed_kernels``) and
 ``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
@@ -19,7 +21,7 @@ from topoidx.errors import InverseUndefined, UnsupportedEvaluation
 from topoidx.exact import ExpPoly, Rat, RatLike, exact_sqrt, general_pow
 from topoidx.functionals import edge_endpoint_values
 from topoidx.graph import Graph
-from topoidx.indices import _STANDALONE, Descriptor, kernel
+from topoidx.indices import _STANDALONE, Descriptor
 
 
 def domination_degrees_bruteforce(g: Graph) -> tuple[int, ...]:
@@ -75,6 +77,20 @@ def parse_poly(text: str) -> ExpPoly:
         coeff, num, den = match.groups()
         terms.append((Fraction(int(num), int(den) if den else 1), int(coeff)))
     return ExpPoly(terms)
+
+
+def kernel(variant: int, a, b):
+    """The per-edge binary form for one kernel variant."""
+    if variant == 1:
+        return a * a + b * b + a * b
+    if variant == 2:
+        return a * a + b * b - a * b
+    if variant == 3:
+        hi, lo = (a, b) if a >= b else (b, a)
+        return hi - lo + hi * lo
+    if variant == 4:
+        return abs(a - b) * a * b
+    raise ValueError(f"bad variant {variant!r}")
 
 
 def _transformed_kernels(g: Graph, d: Descriptor, a_param: Optional[Rat]):

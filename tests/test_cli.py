@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from topoidx import cli, evaluate, generate_family
-from topoidx.functionals import vertex_table
+from topoidx import cli
 from topoidx.oracles import baseline_from_results, load_baseline, run_verification
 
 
@@ -98,14 +97,6 @@ class TestCompute:
         records = json.loads(out)
         assert records[0]["value"] == "162/1"
 
-    def test_degree_override(self, w3_file, capsys):
-        _, out, _ = run_cli(capsys, "compute", w3_file, "--index", "RL1",
-                            "--degree", "revan", "--format", "csv")
-        line = out.splitlines()[1]
-        assert line.split(",")[1] == "RRL1"
-        g = generate_family("wheel", 3)
-        assert line.split(",")[2] == f"{evaluate(g, 'RRL1')}/1"
-
     def test_inline_zero_denominator(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file, "--index", "GRL1(a=1/0)")
         assert code == 2
@@ -152,11 +143,20 @@ class TestCompute:
 
     def test_unreadable_domination_bound(self, w3_file, capsys, monkeypatch):
         monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
-        vertex_table.cache_clear()  # a cached domination table skips the bound
         code, out, _ = run_cli(capsys, "compute", w3_file, "--index", "DRL1,RL1", "--format", "csv")
         assert code == 0
         rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
         assert rows == {"DRL1": "ERROR:UnsupportedEvaluation", "RL1": "162/1"}
+
+    @pytest.mark.parametrize("command", [["compute", "--index", "RL1"], ["functionals"]])
+    def test_graph_file_not_utf8(self, tmp_path, capsys, command):
+        path = tmp_path / "bad.g"
+        path.write_bytes(b"n 3\n0 1\n1 \xff2\n")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err and "offset 10" in err
 
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
@@ -217,6 +217,27 @@ class TestVerifyCommand:
         assert "# STALE BASELINE RL1/nowhere" in err.splitlines()
         assert "NOT IN BASELINE" not in err
 
+    @pytest.mark.parametrize("content", [
+        b'{"RL1/wheel": ', b'\xff{}', b'[]', b'{"NRL1/cycle": {"exceptions": {}}}',
+        b'{"NRL1/cycle": "CONFIRMED"}',
+    ], ids=["malformed", "not_utf8", "list", "no_default", "record_not_object"])
+    def test_unreadable_baseline(self, tmp_path, capsys, content):
+        path = tmp_path / "baseline.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "verify", "--oracle", "NRL1/cycle",
+                                 "--range", "3..3", "--baseline", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--family", "nope"], ["--oracle", "NOPE/x"],
+                                      ["--family", "wheel", "--oracle", "RL1/whee"]])
+    def test_unknown_filter_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, "verify", "--range", "3..3", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: unknown oracle") and err.count("\n") == 1
+
     def test_update_baseline(self, tmp_path, capsys):
         target = tmp_path / "new.json"
         code, _, _ = run_cli(capsys, "verify", "--family", "cycle",
@@ -241,3 +262,12 @@ class TestListings:
         assert code == 0
         assert out.splitlines()[1] == "0,4,1"
         assert out.splitlines()[2] == "1,3,2"
+
+    def test_functionals_domination_bound(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "w3.g"
+        run_cli(capsys, "gen", "wheel", "3", "-o", str(path))
+        assert run_cli(capsys, "functionals", str(path), "--source", "domination")[0] == 0
+        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "3")
+        code, out, err = run_cli(capsys, "functionals", str(path), "--source", "domination")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 4 vertices exceeds domination solver bound 3")

@@ -20,6 +20,7 @@ from topoidx.errors import InverseUndefined, TopoidxError
 from topoidx.exact import ExpPoly
 from topoidx.graph import Graph
 from topoidx.indices import (
+    _KERNELS,
     SPECIAL_NAMES,
     all_index_names,
     evaluate,
@@ -58,6 +59,20 @@ def assert_same(got, want, context):
     elif not isinstance(want, Exception):
         assert got == want, (context, got, want)
 
+
+
+# Symmetry is what lets the zero-kernel check on sorted census pairs agree
+# with the per-edge error path.
+VALUES = st.integers(0, 10**6) | st.fractions(min_value=0, max_denominator=10**3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(VALUES, VALUES)
+def test_kernels_symmetric_and_match_reference(a, b):
+    for variant, kernel in _KERNELS.items():
+        want = reference.kernel(variant, a, b)
+        assert kernel(a, b) == kernel(b, a) == want, (variant, a, b)
+        assert type(kernel(a, b)) is type(want), (variant, a, b)
 
 
 @EXAMPLES

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from topoidx.errors import DisconnectedGraph, GraphTooLarge
+from topoidx.errors import DisconnectedGraph, GraphTooLarge, UnsupportedEvaluation
 from topoidx.functionals import (
     banhatti_pair,
     cl_degrees,
@@ -17,6 +17,7 @@ from topoidx.functionals import (
     temperatures,
 )
 from topoidx.graph import Graph, generate_family
+from topoidx.indices import evaluate
 
 from reference import domination_degrees_bruteforce
 
@@ -125,6 +126,17 @@ class TestDomination:
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "26")
         assert domination_degrees(generate_family("complete", 25)) == (1,) * 25
+
+    def test_bound_read_on_every_evaluation(self, monkeypatch):
+        # wheel(3) has 4 vertices; a cached table must not outlive its bound.
+        g = generate_family("wheel", 3)
+        assert evaluate(g, "DRL1") == 18
+        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "3")
+        with pytest.raises(GraphTooLarge):
+            evaluate(g, "DRL1")
+        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
+        with pytest.raises(UnsupportedEvaluation):
+            evaluate(g, "DRL1")
 
     def test_range_invariant(self, small_families):
         for label, g in small_families:

@@ -9,7 +9,8 @@ import hashlib
 
 import pytest
 
-from topoidx import Graph, cli, generate_family, write_graph
+from topoidx import Graph, cli, generate_family, lookup, registry_names, write_graph
+from topoidx.indices import SPECIAL_NAMES
 
 
 def _stdout(capsys, *argv) -> str:
@@ -75,16 +76,20 @@ def test_compute_all_csv_float(label, tmp_path, capsys):
     assert _sha(out.replace(path + ",", label + ",")) == digest
 
 
-# The name path: --degree over every name, inline (a=...) on general,
-# non-general and standalone names, aliases, and case and underscores.
+# The name path: every kv catalog name and every standalone name, inline
+# (a=...) on general, non-general and standalone names, aliases, and case and
+# underscores.  The stem of each name picks its source.
+KV_AND_STANDALONE = ",".join(
+    [name for name in registry_names() if lookup(name)[0].source == "kv"] + list(SPECIAL_NAMES))
+
 COMPUTE_NAMES = {
     "sunflower_3_kv": (generate_family("sunflower", 3),
-                       ["--all", "--degree", "kv", "--format", "csv", "--float"],
-                       "a62d929b2585f58bac8cff9f58eb7e8279d3e533d38748931fa2a6ff391cfcc8"),
+                       ["--index", KV_AND_STANDALONE, "--format", "csv", "--float"],
+                       "a71d84e3663003926b25fe4047bb67196d4295ca455af451871cb3d3503882b9"),
     "path_5_banhatti": (generate_family("path", 5),
-                        ["--index", "GRL1(a=3),RL1(a=5),RL7(a=2),c1,HERONIAN,rl_1_exp,"
-                                    "m_i_rl1,GBRL2",
-                         "--degree", "banhatti", "--format", "json"],
+                        ["--index", "GBRL1(a=3),BRL1(a=5),RL7(a=2),c1,HERONIAN,brl_1_exp,"
+                                    "m_i_brl1,GBRL2",
+                         "--format", "json"],
                         "a66d37da4afa0539e59489340ff75b1bc34cf5f5f723321bccaefc4de3798efc"),
 }
 
