@@ -9,11 +9,8 @@ published closed form against direct evaluation.
 from .errors import TopoidxError
 from .exact import ExpPoly, Rat, rat, rat_pow
 from .graph import (
-    FamilySpec,
     Graph,
     bfs_distances,
-    family_names,
-    generate,
     generate_family,
     read_graph,
     write_graph,
@@ -24,15 +21,12 @@ from .oracles import oracle_eval, oracle_ids, run_verification
 __all__ = [
     "Descriptor",
     "ExpPoly",
-    "FamilySpec",
     "Graph",
     "Rat",
     "TopoidxError",
     "all_index_names",
     "bfs_distances",
     "evaluate",
-    "family_names",
-    "generate",
     "generate_family",
     "lookup",
     "oracle_eval",

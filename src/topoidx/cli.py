@@ -23,8 +23,8 @@ from fractions import Fraction
 
 from .errors import TopoidxError
 from .exact import ExpPoly, parse_rat, render_value
-from .functionals import VERTEX_TABLES, check_domination_bound, vertex_table
-from .graph import FamilySpec, dumps, generate, read_graph
+from .functionals import VERTEX_TABLES, vertex_table
+from .graph import dumps, family_label, generate_family, read_graph
 from .indices import Descriptor, all_index_names, describe, evaluate, lookup
 from .oracles import (
     baseline_from_results,
@@ -45,9 +45,8 @@ def _approx(value) -> str:
 
 
 def cmd_gen(args) -> int:
-    spec = FamilySpec(args.family, tuple(args.params))
-    g = generate(spec)
-    text = dumps(g, comment=spec.label())
+    g = generate_family(args.family, *args.params)
+    text = dumps(g, comment=family_label(args.family, args.params))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -114,6 +113,10 @@ def cmd_verify(args) -> int:
         hi=hi,
         ids=args.oracle or None,
     )
+    if not results:
+        print("error: no oracle point matches these filters within the range",
+              file=sys.stderr)
+        return 2
     rows = [
         (r.oracle_id, r.params_label, r.oracle_value, r.direct_value, r.verdict)
         for r in results
@@ -156,12 +159,10 @@ def cmd_list_indices(args) -> int:
 
 
 def cmd_functionals(args) -> int:
-    g = read_graph(args.graph)
-    if args.source == "domination":  # the cached table does not re-read the bound
-        check_domination_bound(g)
+    table = vertex_table(read_graph(args.graph), args.source)
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(("vertex", "value_num", "value_den"))
-    for vertex, value in enumerate(vertex_table(g, args.source)):
+    for vertex, value in enumerate(table):
         value = Fraction(value)
         writer.writerow((vertex, value.numerator, value.denominator))
     return 0

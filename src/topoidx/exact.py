@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Union
 
 from .errors import DivisionByZero, InvalidRational, UnsupportedEvaluation
@@ -158,21 +158,15 @@ class ExpPoly:
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            merged[e] = merged.get(e, 0) + c
-        return ExpPoly(merged)
+        return ExpPoly(chain(self._terms.items(), other._terms.items()))
 
     def __mul__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
         # Product of monomials adds exponents: x^e1 * x^e2 = x^(e1+e2).
-        out: dict[Fraction, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return ExpPoly(out)
+        return ExpPoly((e1 + e2, c1 * c2)
+                       for e1, c1 in self._terms.items()
+                       for e2, c2 in other._terms.items())
 
     def evaluate(self, x: RatLike) -> Rat:
         """Exact evaluation at a rational point.

@@ -20,27 +20,12 @@ per-source tables are cached against the immutable graph.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import DisconnectedGraph, GraphTooLarge, UnsupportedEvaluation
+from .errors import DisconnectedGraph, GraphTooLarge
 from .graph import Graph, bfs_distances
-
-DOMINATION_MAX_ENV = "TOPOIDX_DOMINATION_MAX"
-DOMINATION_MAX_DEFAULT = 24
-
-
-def domination_bound() -> int:
-    text = os.environ.get(DOMINATION_MAX_ENV, str(DOMINATION_MAX_DEFAULT))
-    try:
-        return int(text)
-    except ValueError:
-        raise UnsupportedEvaluation(
-            f"{DOMINATION_MAX_ENV}={text!r} is not an integer vertex bound"
-        ) from None
-
 
 def plain_degrees(g: Graph) -> tuple[int, ...]:
     return g.degrees
@@ -106,6 +91,10 @@ def cl_degrees(g: Graph) -> tuple[int, ...]:
 # domination.  Enumeration ascends by cardinality and stops once every vertex
 # has been hit, which keeps desk-scale graphs cheap even near the bound.
 
+# The exhaustive search is exponential in n; this is the largest vertex count
+# it accepts.  A table enters `vertex_table`'s cache only after this check.
+DOMINATION_MAX = 24
+
 
 def _closed_masks(g: Graph) -> list[int]:
     masks = []
@@ -117,17 +106,9 @@ def _closed_masks(g: Graph) -> list[int]:
     return masks
 
 
-def check_domination_bound(g: Graph) -> None:
-    bound = domination_bound()
-    if g.n > bound:
-        raise GraphTooLarge(
-            f"{g.n} vertices exceeds domination solver bound {bound} "
-            f"(override with {DOMINATION_MAX_ENV})"
-        )
-
-
 def domination_degrees(g: Graph) -> tuple[int, ...]:
-    check_domination_bound(g)
+    if g.n > DOMINATION_MAX:
+        raise GraphTooLarge(f"{g.n} vertices exceeds domination solver bound {DOMINATION_MAX}")
     masks = _closed_masks(g)
     full = (1 << g.n) - 1
     result: list = [None] * g.n
@@ -195,8 +176,6 @@ def edge_endpoint_values(g: Graph, source: str):
             b_u, b_v = banhatti_pair(g, u, v)
             yield u, v, b_u, b_v
     else:
-        if source == "domination":  # the cached table does not re-read the bound
-            check_domination_bound(g)
         table = vertex_table(g, source)
         for u, v in g.edges:
             yield u, v, table[u], table[v]

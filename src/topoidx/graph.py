@@ -9,7 +9,6 @@ holds by construction.  Generators number vertices deterministically
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import (
@@ -173,48 +172,25 @@ _FAMILIES = {
 }
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """A named graph family at a concrete parameter point."""
-
-    family: str
-    params: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            known = ", ".join(sorted(_FAMILIES))
-            raise InvalidFamilyParams(f"unknown family {self.family!r} (known: {known})")
-        expected = self.param_names
-        if len(self.params) != len(expected):
-            raise InvalidFamilyParams(
-                f"{self.family} takes parameters {expected}, got {self.params}"
-            )
-
-    @property
-    def param_names(self) -> tuple[str, ...]:
-        return _FAMILIES[self.family][0]
-
-    def label(self) -> str:
-        inner = ",".join(f"{k}={v}" for k, v in zip(self.param_names, self.params))
-        return f"{self.family}({inner})"
-
-
-def generate(spec: FamilySpec) -> Graph:
-    """Build the family member, enforcing each family's parameter range."""
-    names, minimums, build = _FAMILIES[spec.family]
-    for name, minimum, value in zip(names, minimums, spec.params):
-        if minimum is not None and value < minimum:
-            label = spec.family if len(names) == 1 else f"{spec.family} {name}"
-            raise InvalidFamilyParams(f"{label} requires parameter >= {minimum}, got {value}")
-    return build(*spec.params)
+def family_label(family: str, params: tuple[int, ...]) -> str:
+    """``wheel(n=4)``: the family with each parameter named."""
+    inner = ",".join(f"{k}={v}" for k, v in zip(_FAMILIES[family][0], params))
+    return f"{family}({inner})"
 
 
 def generate_family(family: str, *params: int) -> Graph:
-    return generate(FamilySpec(family, tuple(params)))
-
-
-def family_names() -> tuple[str, ...]:
-    return tuple(_FAMILIES)
+    """Build the family member, enforcing each family's parameter range."""
+    if family not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
+        raise InvalidFamilyParams(f"unknown family {family!r} (known: {known})")
+    names, minimums, build = _FAMILIES[family]
+    if len(params) != len(names):
+        raise InvalidFamilyParams(f"{family} takes parameters {names}, got {params}")
+    for name, minimum, value in zip(names, minimums, params):
+        if minimum is not None and value < minimum:
+            label = family if len(names) == 1 else f"{family} {name}"
+            raise InvalidFamilyParams(f"{label} requires parameter >= {minimum}, got {value}")
+    return build(*params)
 
 
 # --- edge-list file format ---------------------------------------------------
@@ -256,7 +232,7 @@ def loads(text: str) -> Graph:
             raise GraphFileError(f"line {lineno}: endpoints {raw!r} are not integers")
         if u == v:
             raise GraphFileError(f"line {lineno}: self-loop at vertex {u}")
-        if n is not None and not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < n and 0 <= v < n):
             raise GraphFileError(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
         edges.append((u, v))
     if n is None:

@@ -30,8 +30,8 @@ from typing import Iterable, Optional
 
 from .errors import BaselineFileError, ParamsOutOfStatedRange, TopoidxError
 from .exact import ExpPoly, render_value
-from .functionals import domination_bound
-from .graph import FamilySpec, generate
+from .functionals import DOMINATION_MAX
+from .graph import generate_family
 from .indices import evaluate, lookup
 
 CONFIRMED = "CONFIRMED"
@@ -163,20 +163,20 @@ class OracleResult:
 
 _ENTRIES: dict[str, OracleEntry] = {}
 
-# Family key -> how oracle parameters map onto a generator FamilySpec.
+# Family key -> the generator family and parameters at an oracle point.
 _FAMILY_SPECS = {
-    "regular": lambda p: FamilySpec("regular", (p["n"], p["r"])),
-    "cycle": lambda p: FamilySpec("cycle", (p["n"],)),
-    "complete": lambda p: FamilySpec("complete", (p["n"],)),
-    "path": lambda p: FamilySpec("path", (p["n"],)),
-    "kmn": lambda p: FamilySpec("complete_bipartite", (p["m"], p["n"])),
-    "knn": lambda p: FamilySpec("complete_bipartite", (p["n"], p["n"])),
-    "k1n": lambda p: FamilySpec("complete_bipartite", (1, p["n"])),
-    "wheel": lambda p: FamilySpec("wheel", (p["n"],)),
-    "sunflower": lambda p: FamilySpec("sunflower", (p["n"],)),
-    "star": lambda p: FamilySpec("star", (p["n"],)),
-    "double_star": lambda p: FamilySpec("double_star", (p["p"], p["q"])),
-    "windmill": lambda p: FamilySpec("french_windmill", (p["n"], p["m"])),
+    "regular": lambda p: ("regular", (p["n"], p["r"])),
+    "cycle": lambda p: ("cycle", (p["n"],)),
+    "complete": lambda p: ("complete", (p["n"],)),
+    "path": lambda p: ("path", (p["n"],)),
+    "kmn": lambda p: ("complete_bipartite", (p["m"], p["n"])),
+    "knn": lambda p: ("complete_bipartite", (p["n"], p["n"])),
+    "k1n": lambda p: ("complete_bipartite", (1, p["n"])),
+    "wheel": lambda p: ("wheel", (p["n"],)),
+    "sunflower": lambda p: ("sunflower", (p["n"],)),
+    "star": lambda p: ("star", (p["n"],)),
+    "double_star": lambda p: ("double_star", (p["p"], p["q"])),
+    "windmill": lambda p: ("french_windmill", (p["n"], p["m"])),
 }
 
 
@@ -561,7 +561,6 @@ def run_verification(
             raise ParamsOutOfStatedRange(f"unknown oracle {kind} {', '.join(map(repr, unknown))}")
     results = []
     graph_cache: dict[tuple, object] = {}
-    bound = domination_bound()
     for oracle_id in sorted(_ENTRIES):
         entry = _ENTRIES[oracle_id]
         if family_filter and entry.family not in family_filter:
@@ -573,11 +572,10 @@ def run_verification(
             if not _RANGES[entry.range_text](**params):
                 continue
             spec = _FAMILY_SPECS[entry.family](params)
-            key = (spec.family, spec.params)
-            if key not in graph_cache:
-                graph_cache[key] = generate(spec)
-            g = graph_cache[key]
-            if domination and g.n > bound:
+            if spec not in graph_cache:
+                graph_cache[spec] = generate_family(spec[0], *spec[1])
+            g = graph_cache[spec]
+            if domination and g.n > DOMINATION_MAX:
                 continue  # past the exhaustive domination solver's reach
             try:
                 expected = entry.eval(**params)

@@ -56,6 +56,12 @@ class TestCompute:
         run_cli(capsys, "gen", "complete", "40", "-o", str(path))
         return str(path)
 
+    @pytest.fixture
+    def star24_file(self, tmp_path, capsys):
+        path = tmp_path / "s24.g"  # 25 vertices, one past the domination solver's bound
+        run_cli(capsys, "gen", "star", "24", "-o", str(path))
+        return str(path)
+
     def test_single_index_csv(self, w3_file, capsys):
         code, out, _ = run_cli(capsys, "compute", w3_file, "--index", "RL1", "--format", "csv")
         assert code == 0
@@ -141,12 +147,12 @@ class TestCompute:
         assert code == 0
         assert out.splitlines()[1].split(",")[3] == "inf"
 
-    def test_unreadable_domination_bound(self, w3_file, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
-        code, out, _ = run_cli(capsys, "compute", w3_file, "--index", "DRL1,RL1", "--format", "csv")
+    def test_domination_past_bound(self, star24_file, capsys):
+        code, out, _ = run_cli(capsys, "compute", star24_file,
+                               "--index", "DRL1,RL1", "--format", "csv")
         assert code == 0
         rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
-        assert rows == {"DRL1": "ERROR:UnsupportedEvaluation", "RL1": "162/1"}
+        assert rows == {"DRL1": "ERROR:GraphTooLarge", "RL1": "14424/1"}
 
     @pytest.mark.parametrize("command", [["compute", "--index", "RL1"], ["functionals"]])
     def test_graph_file_not_utf8(self, tmp_path, capsys, command):
@@ -169,13 +175,6 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", "--range", "3..6", "--format", "csv")
         assert code == 0
         assert "0 deviations" in err
-
-    def test_unreadable_domination_bound(self, capsys, monkeypatch):
-        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
-        code, out, err = run_cli(capsys, "verify", "--family", "wheel")
-        assert code == 2
-        assert out == ""
-        assert err == "error: TOPOIDX_DOMINATION_MAX='abc' is not an integer vertex bound\n"
 
     def test_single_oracle_rows(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--oracle", "NRL1/cycle",
@@ -238,6 +237,18 @@ class TestVerifyCommand:
         assert out == ""
         assert err.startswith("error: unknown oracle") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [["--family", "wheel", "--oracle", "RL1/cycle"],
+                                      ["--family", "star", "--range", "24..24"]],
+                             ids=["disjoint_filters", "past_domination_bound"])
+    def test_no_checks_rejected(self, tmp_path, capsys, argv):
+        target = tmp_path / "new.json"
+        for extra in ([], ["--update-baseline", str(target)]):
+            code, out, err = run_cli(capsys, "verify", *argv, *extra)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.exists()
+
     def test_update_baseline(self, tmp_path, capsys):
         target = tmp_path / "new.json"
         code, _, _ = run_cli(capsys, "verify", "--family", "cycle",
@@ -263,11 +274,9 @@ class TestListings:
         assert out.splitlines()[1] == "0,4,1"
         assert out.splitlines()[2] == "1,3,2"
 
-    def test_functionals_domination_bound(self, tmp_path, capsys, monkeypatch):
-        path = tmp_path / "w3.g"
-        run_cli(capsys, "gen", "wheel", "3", "-o", str(path))
-        assert run_cli(capsys, "functionals", str(path), "--source", "domination")[0] == 0
-        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "3")
+    def test_functionals_domination_past_bound(self, tmp_path, capsys):
+        path = tmp_path / "s24.g"
+        run_cli(capsys, "gen", "star", "24", "-o", str(path))
         code, out, err = run_cli(capsys, "functionals", str(path), "--source", "domination")
         assert (code, out) == (2, "")
-        assert err.startswith("error: 4 vertices exceeds domination solver bound 3")
+        assert err == "error: 25 vertices exceeds domination solver bound 24\n"

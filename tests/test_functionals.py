@@ -5,8 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from topoidx.errors import DisconnectedGraph, GraphTooLarge, UnsupportedEvaluation
+from topoidx.errors import DisconnectedGraph, GraphTooLarge
 from topoidx.functionals import (
+    DOMINATION_MAX,
     banhatti_pair,
     cl_degrees,
     closeness,
@@ -17,7 +18,6 @@ from topoidx.functionals import (
     temperatures,
 )
 from topoidx.graph import Graph, generate_family
-from topoidx.indices import evaluate
 
 from reference import domination_degrees_bruteforce
 
@@ -120,23 +120,11 @@ class TestDomination:
         assert set(values[1:]) == {3}
 
     def test_size_bound(self):
-        with pytest.raises(GraphTooLarge):
-            domination_degrees(generate_family("complete", 25))
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "26")
-        assert domination_degrees(generate_family("complete", 25)) == (1,) * 25
-
-    def test_bound_read_on_every_evaluation(self, monkeypatch):
-        # wheel(3) has 4 vertices; a cached table must not outlive its bound.
-        g = generate_family("wheel", 3)
-        assert evaluate(g, "DRL1") == 18
-        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "3")
-        with pytest.raises(GraphTooLarge):
-            evaluate(g, "DRL1")
-        monkeypatch.setenv("TOPOIDX_DOMINATION_MAX", "abc")
-        with pytest.raises(UnsupportedEvaluation):
-            evaluate(g, "DRL1")
+        assert domination_degrees(generate_family("complete", DOMINATION_MAX)) == \
+            (1,) * DOMINATION_MAX
+        with pytest.raises(GraphTooLarge) as err:
+            domination_degrees(generate_family("complete", DOMINATION_MAX + 1))
+        assert str(err.value) == "25 vertices exceeds domination solver bound 24"
 
     def test_range_invariant(self, small_families):
         for label, g in small_families:

@@ -14,11 +14,9 @@ from topoidx.errors import (
 )
 from topoidx.functionals import edge_census
 from topoidx.graph import (
-    FamilySpec,
     Graph,
     bfs_distances,
     dumps,
-    generate,
     generate_family,
     loads,
 )
@@ -138,7 +136,7 @@ class TestGenerators:
     ])
     def test_invalid_params(self, family, params):
         with pytest.raises(InvalidFamilyParams):
-            generate(FamilySpec(family, params))
+            generate_family(family, *params)
 
     @pytest.mark.parametrize("family,params,message", [
         ("cycle", (2,), "cycle requires parameter >= 3, got 2"),
@@ -161,16 +159,20 @@ class TestGenerators:
     ])
     def test_invalid_params_message(self, family, params, message):
         with pytest.raises(InvalidFamilyParams) as err:
-            generate(FamilySpec(family, params))
+            generate_family(family, *params)
         assert str(err.value) == message
 
     def test_unknown_family(self):
-        with pytest.raises(InvalidFamilyParams):
-            FamilySpec("torus", (3,))
+        with pytest.raises(InvalidFamilyParams) as err:
+            generate_family("torus", 3)
+        assert str(err.value) == (
+            "unknown family 'torus' (known: complete, complete_bipartite, cycle, "
+            "double_star, french_windmill, path, regular, star, sunflower, wheel)")
 
     def test_wrong_arity(self):
-        with pytest.raises(InvalidFamilyParams):
-            FamilySpec("wheel", (3, 4))
+        with pytest.raises(InvalidFamilyParams) as err:
+            generate_family("wheel", 3, 4)
+        assert str(err.value) == "wheel takes parameters ('n',), got (3, 4)"
 
     def test_handshake_over_families(self, small_families):
         for label, g in small_families:

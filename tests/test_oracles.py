@@ -94,6 +94,10 @@ class TestVerification:
         results = run_verification(ids=["RL1exp/sunflower"], lo=3, hi=8)
         assert all(r.verdict == "CONFIRMED" for r in results)
 
+    def test_domination_points_past_bound_skipped(self):
+        # star(24) has 25 vertices; every star oracle is a domination index.
+        assert run_verification(families=["star"], lo=24, hi=24) == []
+
     def test_results_sorted_and_deterministic(self):
         first = run_verification(families=["wheel"], lo=3, hi=6)
         second = run_verification(families=["wheel"], lo=3, hi=6)
