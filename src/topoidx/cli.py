@@ -218,7 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--family", action="append",
                           help="restrict to an oracle family (repeatable)")
     p_verify.add_argument("--range", type=_range_arg, default=(3, 10),
-                          help="size-parameter range A..B (default 3..10)")
+                          help="size-parameter range A..B (default 3..10); kmn caps n "
+                               "at 6, double_star and windmill ignore A and cap their "
+                               "parameters at 4 and 5")
     p_verify.add_argument("--oracle", action="append",
                           help="restrict to an oracle id such as RL1/wheel (repeatable)")
     p_verify.add_argument("--format", choices=("table", "csv"), default="table")

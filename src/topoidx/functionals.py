@@ -14,8 +14,13 @@ drawn from one of these sources:
 
 plus closeness centrality and the maximum-degree-deviation (CL) degree used
 by the standalone indices.  On a simple graph every degree is at most n-1,
-so no banhatti or temperature denominator is zero.  All functions are pure;
-per-source tables are cached against the immutable graph.
+so no banhatti or temperature denominator is zero.
+
+The first four sources are degree-determined: the values at the ends of an
+edge uv depend only on d(u), d(v) and the graph, so their edge census is the
+degree-pair census relabelled class by class.  All functions are pure; the
+degree-pair census and the per-source vertex tables are cached against the
+immutable graph.
 """
 
 from __future__ import annotations
@@ -56,10 +61,10 @@ def neighbor_degree_sums(g: Graph) -> tuple[int, ...]:
     return tuple(sum(g.degrees[w] for w in nbrs) for nbrs in g.adj)
 
 
-def banhatti_pair(g: Graph, u: int, v: int) -> tuple[Fraction, Fraction]:
-    """Banhatti degrees of both endpoints of the edge uv."""
-    d_e = g.degrees[u] + g.degrees[v] - 2
-    return Fraction(d_e, g.n - g.degrees[u]), Fraction(d_e, g.n - g.degrees[v])
+def _banhatti_pair(n: int, d_u: int, d_v: int) -> tuple[Fraction, Fraction]:
+    """Banhatti degrees at the ends of an edge of an n-vertex graph, from the end degrees."""
+    d_e = d_u + d_v - 2
+    return Fraction(d_e, n - d_u), Fraction(d_e, n - d_v)
 
 
 def closeness(g: Graph) -> tuple[Fraction, ...]:
@@ -173,22 +178,45 @@ def edge_endpoint_values(g: Graph, source: str):
     """Yield (u, v, value_at_u, value_at_v) for every edge, per source."""
     if source == "banhatti":
         for u, v in g.edges:
-            b_u, b_v = banhatti_pair(g, u, v)
-            yield u, v, b_u, b_v
+            yield (u, v, *_banhatti_pair(g.n, g.degrees[u], g.degrees[v]))
     else:
         table = vertex_table(g, source)
         for u, v in g.edges:
             yield u, v, table[u], table[v]
 
 
+def _merge(weighted_pairs) -> dict[tuple, int]:
+    """Add counts by sorted pair, keeping the order in which pairs first appear."""
+    census: dict[tuple, int] = {}
+    for a, b, count in weighted_pairs:
+        key = (a, b) if a <= b else (b, a)
+        census[key] = census.get(key, 0) + count
+    return census
+
+
+@lru_cache(maxsize=512)
+def degree_census(g: Graph) -> tuple[tuple[tuple[int, int], int], ...]:
+    """((d_u, d_v), edge count) per sorted endpoint-degree pair, in the order of first edge."""
+    degrees = g.degrees
+    return tuple(_merge((degrees[u], degrees[v], 1) for u, v in g.edges).items())
+
+
 def edge_census(g: Graph, source: str) -> dict[tuple, int]:
     """Count edges by sorted pair of endpoint values (the edge partition).
 
     Every index is a symmetric form of the endpoint values, so a fold over
-    this census.  Rebuilt on every call, never cached.
+    this census.  Classes keep the order of their first edge.  A
+    degree-determined source maps the classes of the cached degree-pair
+    census and adds the counts of classes that coincide; any other source
+    scans the edges against its vertex table.  The returned dict is new on
+    every call.
     """
-    census: dict[tuple, int] = {}
-    for _, _, a, b in edge_endpoint_values(g, source):
-        key = (a, b) if a <= b else (b, a)
-        census[key] = census.get(key, 0) + 1
-    return census
+    if source in ("plain", "revan", "temperature"):
+        value = dict(zip(g.degrees, vertex_table(g, source)))
+        pairs = ((value[d_u], value[d_v], c) for (d_u, d_v), c in degree_census(g))
+    elif source == "banhatti":
+        pairs = ((*_banhatti_pair(g.n, d_u, d_v), c) for (d_u, d_v), c in degree_census(g))
+    else:
+        table = vertex_table(g, source)
+        pairs = ((table[u], table[v], 1) for u, v in g.edges)
+    return _merge(pairs)

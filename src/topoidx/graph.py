@@ -198,6 +198,10 @@ def generate_family(family: str, *params: int) -> Graph:
 # Optional comment lines start with '#'; the first non-comment line is
 # ``n <vertex_count>``; every following line is ``u v`` (0-indexed).
 
+# The largest vertex count a graph file may declare.  A graph holds a few
+# objects per vertex: 10^6 isolated vertices take about 100 MB.
+MAX_VERTICES = 10**6
+
 
 def dumps(g: Graph, comment: str | None = None) -> str:
     lines = []
@@ -223,6 +227,9 @@ def loads(text: str) -> Graph:
                 n = int(fields[1])
             except ValueError:
                 raise GraphFileError(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
+            if n > MAX_VERTICES:
+                raise GraphFileError(
+                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
             continue
         if len(fields) != 2:
             raise GraphFileError(f"line {lineno}: expected 'u v', got {raw!r}")

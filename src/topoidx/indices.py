@@ -28,9 +28,11 @@ from __future__ import annotations
 
 import difflib
 import math
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product, repeat, starmap
 from typing import Optional, Union
 
@@ -117,7 +119,9 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
         # A float power raises OverflowError where repeated products reach inf.
         powers = (math.prod(repeat(t, c)) if isinstance(t, float) else t**c for t, c in terms)
         return math.prod(powers, start=Fraction(1))
-    total = sum((c * t for t, c in terms), Fraction(0))
+    # Integer terms add as ints, left to right (sum() would take its
+    # compensated float path from Python 3.12); Fraction(0) keeps the type.
+    total = Fraction(0) + reduce(operator.add, (c * t for t, c in terms), 0)
     return total if form == "value" else ExpPoly.monomial(total)
 
 

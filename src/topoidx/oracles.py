@@ -515,8 +515,12 @@ def oracle_eval(oracle_id: str, **params):
 
 
 def _family_points(family: str, lo: int, hi: int) -> Iterable[dict]:
-    """Default parameter grid; the range bounds apply to the size parameter n.
+    """Parameter grid of a family over the range lo..hi.
 
+    The one-parameter families take n in max(lo, 2)..hi, and regular takes
+    the same n with r in 2, 3, 4.  kmn takes n in max(lo, 2)..min(hi, 6) with
+    m in 1..n.  double_star and windmill ignore lo: double_star takes
+    1 <= p <= q <= min(hi, 4), and windmill n in 3..min(hi, 5) with m in 3, 4.
     Each oracle's stated range drops the grid points it does not cover.
     """
     if family == "regular":

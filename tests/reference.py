@@ -5,6 +5,8 @@ is the independent domination oracle of acceptance criterion 5.
 ``kernel`` is the per-edge kernel as an if-chain (variant 3 larger endpoint
 first), the reference for the engine's symmetric kernel table.
 ``parse_poly`` inverts ``ExpPoly.render``.
+``edge_scan_census`` counts the edge partition of a degree-determined source
+edge by edge, from the definitions in ``topoidx.functionals``' docstring.
 ``evaluate_descriptor`` (with ``_transformed_kernels``) and
 ``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
 that preceded the edge-census fold, kept verbatim so the census fold can be
@@ -174,3 +176,28 @@ def evaluate_standalone(g: Graph, name: str):
     if isinstance(roots, float):
         return float(linear) + roots
     return linear + roots
+
+
+def _degree_determined_values(g: Graph, source: str, u: int, v: int) -> tuple:
+    d = g.degrees
+    if source == "plain":
+        return d[u], d[v]
+    if source == "revan":
+        top = max(d) + min(d)
+        return top - d[u], top - d[v]
+    if source == "temperature":
+        return Fraction(d[u], g.n - d[u]), Fraction(d[v], g.n - d[v])
+    if source == "banhatti":
+        d_e = d[u] + d[v] - 2
+        return Fraction(d_e, g.n - d[u]), Fraction(d_e, g.n - d[v])
+    raise ValueError(f"{source!r} is not degree-determined")
+
+
+def edge_scan_census(g: Graph, source: str) -> dict[tuple, int]:
+    """Edge count per sorted pair of endpoint values, in the order of first edge."""
+    census: dict[tuple, int] = {}
+    for u, v in g.edges:
+        a, b = _degree_determined_values(g, source, u, v)
+        key = (a, b) if a <= b else (b, a)
+        census[key] = census.get(key, 0) + 1
+    return census

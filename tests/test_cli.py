@@ -164,6 +164,15 @@ class TestCompute:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(path) in err and "offset 10" in err
 
+    @pytest.mark.parametrize("command", [["compute", "--index", "RL1"], ["functionals"]])
+    def test_vertex_count_past_cap(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.g"
+        path.write_text("# isolated vertices only\nn 100000000000\n")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 2
+        assert out == ""
+        assert err == "error: line 2: vertex count 100000000000 exceeds the limit of 1000000\n"
+
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction as F
 from itertools import combinations
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topoidx.errors import InverseUndefined, TopoidxError
@@ -21,6 +21,7 @@ from topoidx.exact import ExpPoly
 from topoidx.graph import Graph
 from topoidx.indices import (
     _KERNELS,
+    _fold,
     SPECIAL_NAMES,
     all_index_names,
     evaluate,
@@ -154,3 +155,47 @@ def test_local_indices_fold_over_disjoint_union(g, h):
             assert type(got) is (ExpPoly if d.form == "exponential" else F), (d.name, a)
     for name in LOCAL_STANDALONE:
         assert evaluate(union, name) == evaluate(g, name) + evaluate(h, name), name
+
+
+# Per-class terms of every type a sum fold meets: ints, Fractions and floats.
+TERMS = st.lists(
+    st.tuples(st.integers(-10**30, 10**30)
+              | st.fractions(max_denominator=10**6)
+              | st.floats(-1e12, 1e12, allow_nan=False),
+              st.integers(1, 10**5)),
+    max_size=12,
+)
+
+
+def folded_sum(terms):
+    """``_fold``'s sum over a census whose i-th class has term t and count c."""
+    census = {(i, i): c for i, (_, c) in enumerate(terms)}
+    return _fold(census, lambda i, _: terms[i][0], "sum", "value")
+
+
+def test_integer_sum_is_a_fraction():
+    total = folded_sum([(3, 2), (10**40, 7), (-5, 1)])
+    assert type(total) is F and total == 7 * 10**40 + 1
+    assert type(folded_sum([])) is F and folded_sum([]) == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(TERMS)
+@example([(0.1, 1), (0.2, 1), (0.3, 1)])
+@example([(3, 1), (1e12, 1), (1e-5, 1), (-1e12, 1)])
+@example([(F(1, 3), 2), (1e12, 1), (1e-5, 1), (-1e12, 1)])
+def test_sum_fold_matches_fraction_start_to_the_bit(terms):
+    """Adding from int 0 gives the value and type of adding from Fraction(0).
+
+    Where a float term enters, both add the exact prefix, rounded once, to it,
+    and go on adding left to right, so a float result carries the same bits.
+    The examples tell left-to-right addition from the compensated float
+    summation that ``sum()`` uses from Python 3.12 when its start is an int.
+    """
+    got = folded_sum(terms)
+    want = sum((c * t for t, c in terms), F(0))
+    assert type(got) is type(want), (terms, got, want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex(), (terms, got, want)
+    else:
+        assert got == want, (terms, got, want)

@@ -8,10 +8,12 @@ import pytest
 from topoidx.errors import DisconnectedGraph, GraphTooLarge
 from topoidx.functionals import (
     DOMINATION_MAX,
-    banhatti_pair,
+    _banhatti_pair,
     cl_degrees,
     closeness,
+    degree_census,
     domination_degrees,
+    edge_census,
     kv_products,
     neighbor_degree_sums,
     revan_degrees,
@@ -19,9 +21,13 @@ from topoidx.functionals import (
 )
 from topoidx.graph import Graph, generate_family
 
-from reference import domination_degrees_bruteforce
+from reference import domination_degrees_bruteforce, edge_scan_census
 
 from conftest import random_connected_graph
+
+
+def banhatti_pair(g, u, v):
+    return _banhatti_pair(g.n, g.degrees[u], g.degrees[v])
 
 
 class TestVertexFunctionals:
@@ -153,6 +159,47 @@ class TestRegularConstancy:
         assert set(cl_degrees(g)) == {0}
         for u, v in g.edges:
             assert banhatti_pair(g, u, v) == (F(2 * r - 2, n - r),) * 2
+
+
+def random_graph_with_isolated(rng: random.Random) -> Graph:
+    """G(n, p) on the first vertices, then zero to three isolated vertices."""
+    n = rng.randint(1, 12)
+    p = rng.choice((0.15, 0.4, 0.8))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n + rng.randint(0, 3), edges)
+
+
+class TestDegreeDeterminedCensus:
+    """The census mapped from the degree-pair census equals an edge scan.
+
+    Equal as lists of items, so the classes keep the order of their first edge
+    (the order in which ``~`` float sums add), and with keys of the same types.
+    """
+
+    @staticmethod
+    def assert_census(g, label):
+        for source in ("plain", "revan", "temperature", "banhatti"):
+            got = list(edge_census(g, source).items())
+            want = list(edge_scan_census(g, source).items())
+            assert got == want, (label, source)
+            assert [tuple(map(type, key)) for key, _ in got] == \
+                [tuple(map(type, key)) for key, _ in want], (label, source)
+
+    def test_random_graphs_with_isolated_vertices(self):
+        rng = random.Random(1010)
+        graphs = [random_graph_with_isolated(rng) for _ in range(150)]
+        assert any(0 in g.degrees and g.edges for g in graphs)
+        for i, g in enumerate(graphs):
+            self.assert_census(g, f"random{i}")
+
+    def test_every_family(self, small_families):
+        for label, g in small_families:
+            self.assert_census(g, label)
+
+    def test_degree_census_cached_per_graph(self):
+        g = generate_family("wheel", 7)
+        assert degree_census(g) is degree_census(Graph(g.n, g.edges))
+        assert degree_census(g) == (((3, 7), 7), ((3, 3), 7))
 
 
 class TestAgainstNetworkx:

@@ -14,6 +14,7 @@ from topoidx.errors import (
 )
 from topoidx.functionals import edge_census
 from topoidx.graph import (
+    MAX_VERTICES,
     Graph,
     bfs_distances,
     dumps,
@@ -238,3 +239,13 @@ class TestFileFormat:
     def test_parse_errors_cite_lines(self, text, fragment):
         with pytest.raises(GraphFileError, match=fragment):
             loads(text)
+
+    def test_vertex_count_cap(self):
+        with pytest.raises(GraphFileError) as err:
+            loads("n 100000000000\n")
+        assert str(err.value) == \
+            "line 1: vertex count 100000000000 exceeds the limit of 1000000"
+        with pytest.raises(GraphFileError, match="^line 3: vertex count 1000001 "):
+            loads(f"# header\n\nn {MAX_VERTICES + 1}\n0 1\n")
+        g = loads("n 1000\n0 1\n")
+        assert (g.n, g.edges) == (1000, ((0, 1),))

@@ -98,6 +98,29 @@ class TestVerification:
         # star(24) has 25 vertices; every star oracle is a domination index.
         assert run_verification(families=["star"], lo=24, hi=24) == []
 
+    @pytest.mark.parametrize("family", ["complete", "cycle", "k1n", "knn", "path",
+                                        "star", "sunflower", "wheel"])
+    def test_one_parameter_grid(self, family):
+        assert list(_family_points(family, 1, 5)) == [{"n": n} for n in (2, 3, 4, 5)]
+        assert list(_family_points(family, 7, 9)) == [{"n": n} for n in (7, 8, 9)]
+
+    def test_two_parameter_grids(self):
+        assert list(_family_points("regular", 5, 6)) == [
+            {"n": n, "r": r} for n in (5, 6) for r in (2, 3, 4)]
+        # kmn caps n at 6.
+        assert list(_family_points("kmn", 5, 20)) == [
+            {"m": m, "n": n} for n in (5, 6) for m in range(1, n + 1)]
+        assert list(_family_points("kmn", 7, 20)) == []
+        # double_star and windmill ignore the lower bound and cap the upper.
+        assert list(_family_points("double_star", 9, 9)) == [
+            {"p": p, "q": q} for p in range(1, 5) for q in range(p, 5)]
+        assert list(_family_points("double_star", 3, 3)) == [
+            {"p": p, "q": q} for p in range(1, 4) for q in range(p, 4)]
+        assert list(_family_points("windmill", 5, 5)) == [
+            {"n": n, "m": m} for n in (3, 4, 5) for m in (3, 4)]
+        assert list(_family_points("windmill", 3, 20)) == \
+            list(_family_points("windmill", 5, 5))
+
     def test_results_sorted_and_deterministic(self):
         first = run_verification(families=["wheel"], lo=3, hi=6)
         second = run_verification(families=["wheel"], lo=3, hi=6)
