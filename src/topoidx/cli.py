@@ -30,7 +30,6 @@ from .oracles import (
     baseline_from_results,
     compare_to_baseline,
     load_baseline,
-    oracle_ids,
     run_verification,
 )
 
@@ -130,8 +129,7 @@ def cmd_verify(args) -> int:
             handle.write("\n")
         print(f"baseline written: {args.update_baseline}", file=sys.stderr)
         return 0
-    deviations, unknown = compare_to_baseline(results, baseline)
-    stale = sorted(set(baseline) - set(oracle_ids()))
+    deviations, unknown, stale = compare_to_baseline(results, baseline)
     confirmed = sum(1 for r in results if r.verdict == "CONFIRMED")
     discrepant = sum(1 for r in results if r.verdict == "DISCREPANT")
     print(

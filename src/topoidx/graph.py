@@ -141,11 +141,15 @@ def _gen_french_windmill(n: int, m: int) -> Graph:
     return Graph(m * (n - 1) + 1, edges)
 
 
-def _gen_regular(n: int, r: int) -> Graph:
+def _regular_size(n: int, r: int) -> tuple[int, int]:
     if r >= n:
         raise InvalidFamilyParams(f"regular requires r < n, got r={r}, n={n}")
     if (n * r) % 2 != 0:
         raise InvalidFamilyParams(f"regular requires n*r even, got n={n}, r={r}")
+    return n, n * r // 2
+
+
+def _gen_regular(n: int, r: int) -> Graph:
     # Circulant with jumps 1..r/2; an odd r additionally needs n even and
     # uses the diameter chord i <-> i+n/2.
     edges = []
@@ -156,19 +160,22 @@ def _gen_regular(n: int, r: int) -> Graph:
     return Graph(n, edges)
 
 
-# family -> (parameter names, minimum of each parameter or None, builder).
-# The regular builder checks r < n and n*r even itself.
+# family -> (parameter names, minimum of each parameter or None, builder,
+# (vertex count, edge count) of the graph the builder would make).
+# The regular size function also checks r < n and n*r even.
 _FAMILIES = {
-    "regular": (("n", "r"), (None, 1), _gen_regular),
-    "cycle": (("n",), (3,), _gen_cycle),
-    "path": (("n",), (2,), _gen_path),
-    "complete": (("n",), (1,), _gen_complete),
-    "complete_bipartite": (("m", "n"), (1, 1), _gen_complete_bipartite),
-    "star": (("n",), (1,), _gen_star),
-    "double_star": (("p", "q"), (1, 1), _gen_double_star),
-    "wheel": (("n",), (3,), _gen_wheel),
-    "sunflower": (("n",), (3,), _gen_sunflower),
-    "french_windmill": (("n", "m"), (3, 3), _gen_french_windmill),
+    "regular": (("n", "r"), (None, 1), _gen_regular, _regular_size),
+    "cycle": (("n",), (3,), _gen_cycle, lambda n: (n, n)),
+    "path": (("n",), (2,), _gen_path, lambda n: (n, n - 1)),
+    "complete": (("n",), (1,), _gen_complete, lambda n: (n, n * (n - 1) // 2)),
+    "complete_bipartite": (("m", "n"), (1, 1), _gen_complete_bipartite,
+                           lambda m, n: (m + n, m * n)),
+    "star": (("n",), (1,), _gen_star, lambda n: (n + 1, n)),
+    "double_star": (("p", "q"), (1, 1), _gen_double_star, lambda p, q: (2 + p + q, 1 + p + q)),
+    "wheel": (("n",), (3,), _gen_wheel, lambda n: (n + 1, 2 * n)),
+    "sunflower": (("n",), (3,), _gen_sunflower, lambda n: (3 * n + 1, 5 * n)),
+    "french_windmill": (("n", "m"), (3, 3), _gen_french_windmill,
+                        lambda n, m: (m * (n - 1) + 1, m * n * (n - 1) // 2)),
 }
 
 
@@ -183,13 +190,18 @@ def generate_family(family: str, *params: int) -> Graph:
     if family not in _FAMILIES:
         known = ", ".join(sorted(_FAMILIES))
         raise InvalidFamilyParams(f"unknown family {family!r} (known: {known})")
-    names, minimums, build = _FAMILIES[family]
+    names, minimums, build, size = _FAMILIES[family]
     if len(params) != len(names):
         raise InvalidFamilyParams(f"{family} takes parameters {names}, got {params}")
     for name, minimum, value in zip(names, minimums, params):
         if minimum is not None and value < minimum:
             label = family if len(names) == 1 else f"{family} {name}"
             raise InvalidFamilyParams(f"{label} requires parameter >= {minimum}, got {value}")
+    for count, what, limit in zip(size(*params), ("vertices", "edges"),
+                                  (MAX_VERTICES, MAX_EDGES)):
+        if count > limit:
+            raise InvalidFamilyParams(f"{family_label(family, params)} would have {count} "
+                                      f"{what}, past the limit of {limit}")
     return build(*params)
 
 
@@ -198,9 +210,11 @@ def generate_family(family: str, *params: int) -> Graph:
 # Optional comment lines start with '#'; the first non-comment line is
 # ``n <vertex_count>``; every following line is ``u v`` (0-indexed).
 
-# The largest vertex count a graph file may declare.  A graph holds a few
-# objects per vertex: 10^6 isolated vertices take about 100 MB.
+# The largest vertex count a graph file may declare or a family graph may
+# have.  A graph holds a few objects per vertex: 10^6 isolated vertices take
+# about 100 MB.  Edges cost more, so a family graph's edge count has a cap too.
 MAX_VERTICES = 10**6
+MAX_EDGES = 10**6
 
 
 def dumps(g: Graph, comment: str | None = None) -> str:

@@ -28,11 +28,10 @@ from fractions import Fraction
 from importlib import resources
 from typing import Iterable, Optional
 
-from .errors import BaselineFileError, ParamsOutOfStatedRange, TopoidxError
+from .errors import BaselineFileError, GraphTooLarge, ParamsOutOfStatedRange, TopoidxError
 from .exact import ExpPoly, render_value
-from .functionals import DOMINATION_MAX
 from .graph import generate_family
-from .indices import evaluate, lookup
+from .indices import evaluate
 
 CONFIRMED = "CONFIRMED"
 DISCREPANT = "DISCREPANT"
@@ -150,7 +149,6 @@ class OracleEntry:
 @dataclass(frozen=True)
 class OracleResult:
     oracle_id: str
-    family: str
     params: tuple
     oracle_value: str
     direct_value: str
@@ -571,29 +569,26 @@ def run_verification(
             continue
         if id_filter and oracle_id not in id_filter:
             continue
-        domination = lookup(entry.index)[0].source == "domination"
         for params in _family_points(entry.family, lo, hi):
             if not _RANGES[entry.range_text](**params):
                 continue
             spec = _FAMILY_SPECS[entry.family](params)
             if spec not in graph_cache:
                 graph_cache[spec] = generate_family(spec[0], *spec[1])
-            g = graph_cache[spec]
-            if domination and g.n > DOMINATION_MAX:
-                continue  # past the exhaustive domination solver's reach
+            point = tuple(sorted(params.items()))
             try:
+                direct = evaluate(graph_cache[spec], entry.index)
                 expected = entry.eval(**params)
-                direct = evaluate(g, entry.index)
+            except GraphTooLarge:
+                continue  # past the exhaustive domination solver's reach
             except TopoidxError as exc:
                 results.append(OracleResult(
-                    oracle_id, entry.family, tuple(sorted(params.items())),
-                    "", "", f"ERROR:{type(exc).__name__}",
+                    oracle_id, point, "", "", f"ERROR:{type(exc).__name__}",
                 ))
                 continue
             verdict = CONFIRMED if expected == direct else DISCREPANT
             results.append(OracleResult(
-                oracle_id, entry.family, tuple(sorted(params.items())),
-                render_value(expected), render_value(direct), verdict,
+                oracle_id, point, render_value(expected), render_value(direct), verdict,
             ))
     results.sort(key=lambda r: (r.oracle_id, r.params))
     return results
@@ -601,9 +596,11 @@ def run_verification(
 
 # --- expected-verdict baseline ----------------------------------------------------
 #
-# The shipped baseline records, for every oracle over the default grid, the
-# verdict the current definitions produce: a per-oracle default plus explicit
-# per-point exceptions (coincidental equalities and the like).  `verify`
+# The shipped baseline records, for every oracle over the grid of `verify
+# --range 2..10` (no grid starts below n = 2), the verdict the current
+# definitions produce: a per-oracle default plus explicit per-point exceptions
+# (coincidental equalities and the like).  `verify --range 2..10
+# --update-baseline src/topoidx/baseline.json` rewrites it.  `verify`
 # exits nonzero when a computed verdict deviates from this record or either
 # side has an id the other lacks, so known published discrepancies stay
 # visible without failing CI.
@@ -648,7 +645,7 @@ def load_baseline(path=None) -> dict:
 
 
 def compare_to_baseline(results: Iterable[OracleResult], baseline: dict):
-    """Return (deviations, unknown) result lists against a baseline."""
+    """Return (deviations, unknown results, stale baseline ids) against a baseline."""
     deviations, unknown = [], []
     for r in results:
         record = baseline.get(r.oracle_id)
@@ -658,4 +655,4 @@ def compare_to_baseline(results: Iterable[OracleResult], baseline: dict):
         expected = record.get("exceptions", {}).get(r.params_label, record["default"])
         if r.verdict != expected:
             deviations.append((r, expected))
-    return deviations, unknown
+    return deviations, unknown, sorted(set(baseline) - set(_ENTRIES))

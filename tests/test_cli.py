@@ -5,7 +5,13 @@ import json
 import pytest
 
 from topoidx import cli
-from topoidx.oracles import baseline_from_results, load_baseline, run_verification
+from topoidx.oracles import (
+    _ENTRIES,
+    OracleEntry,
+    baseline_from_results,
+    load_baseline,
+    run_verification,
+)
 
 
 def run_cli(capsys, *argv):
@@ -35,6 +41,12 @@ class TestGen:
         code, _, err = run_cli(capsys, "gen", "wheel", "2")
         assert code == 2
         assert "wheel" in err
+
+    def test_oversized_params(self, capsys):
+        code, out, err = run_cli(capsys, "gen", "star", "100000000000")
+        assert (code, out) == (2, "")
+        assert err == ("error: star(n=100000000000) would have 100000000001 vertices, "
+                       "past the limit of 1000000\n")
 
 
 class TestCompute:
@@ -185,6 +197,36 @@ class TestVerifyCommand:
         assert code == 0
         assert "0 deviations" in err
 
+    def test_range_from_one_matches_baseline(self, capsys):
+        # The grid starts at n = 2 whatever the lower bound; the baseline covers it.
+        code, out, err = run_cli(capsys, "verify", "--range", "1..6", "--format", "csv")
+        assert code == 0
+        assert "n=2" in out
+        assert "0 deviations" in err and "DEVIATION" not in err
+
+    @pytest.mark.parametrize("text,message", [("5..3", "empty range '5..3'"),
+                                              ("x..y", "range must look like 3..8")])
+    def test_malformed_range_rejected(self, capsys, text, message):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--range", text])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_display_error_becomes_row(self, capsys, monkeypatch):
+        # (n/2) x^3 has the non-integral coefficient 3/2 at n = 3 only.
+        entry = OracleEntry("RL1exp/wheel", "wheel", "RL1exp", "(n/2) x^3", "n >= 3")
+        monkeypatch.setitem(_ENTRIES, "RL1exp/wheel", entry)
+        code, out, err = run_cli(capsys, "verify", "--oracle", "RL1exp/wheel",
+                                 "--range", "3..4", "--format", "csv")
+        rows = out.splitlines()[1:]
+        assert rows == ["RL1exp/wheel,n=3,,,ERROR:UnsupportedEvaluation",
+                        "RL1exp/wheel,n=4,2*x^3,4*x^37 + 4*x^27,DISCREPANT"]
+        assert err.startswith("# 2 checks: 0 CONFIRMED, 1 DISCREPANT, 1 errors; "
+                              "2 deviations from baseline\n")
+        assert code == 1
+
     def test_single_oracle_rows(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--oracle", "NRL1/cycle",
                                "--range", "3..3", "--format", "csv")
@@ -282,6 +324,12 @@ class TestListings:
         assert code == 0
         assert out.splitlines()[1] == "0,4,1"
         assert out.splitlines()[2] == "1,3,2"
+
+    def test_functionals_empty_graph(self, tmp_path, capsys):
+        path = tmp_path / "empty.g"
+        path.write_text("n 0\n")
+        code, out, err = run_cli(capsys, "functionals", str(path), "--source", "revan")
+        assert (code, out, err) == (0, "vertex,value_num,value_den\n", "")
 
     def test_functionals_domination_past_bound(self, tmp_path, capsys):
         path = tmp_path / "s24.g"

@@ -14,6 +14,7 @@ from topoidx.errors import (
 )
 from topoidx.functionals import edge_census
 from topoidx.graph import (
+    _FAMILIES,
     MAX_VERTICES,
     Graph,
     bfs_distances,
@@ -162,6 +163,36 @@ class TestGenerators:
         with pytest.raises(InvalidFamilyParams) as err:
             generate_family(family, *params)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("family,params,message", [
+        ("star", (10**11,), "star(n=100000000000) would have 100000000001 vertices, "
+                            "past the limit of 1000000"),
+        ("complete", (100000,), "complete(n=100000) would have 4999950000 edges, "
+                                "past the limit of 1000000"),
+        ("complete", (1415,), "complete(n=1415) would have 1000405 edges, "
+                              "past the limit of 1000000"),
+        ("sunflower", (200001,), "sunflower(n=200001) would have 1000005 edges, "
+                                 "past the limit of 1000000"),
+        ("french_windmill", (3, 10**6), "french_windmill(n=3,m=1000000) would have "
+                                        "2000001 vertices, past the limit of 1000000"),
+        ("path", (MAX_VERTICES + 1,), "path(n=1000001) would have 1000001 vertices, "
+                                      "past the limit of 1000000"),
+        ("regular", (5, 10**8), "regular requires r < n, got r=100000000, n=5"),
+    ])
+    def test_size_cap(self, family, params, message):
+        with pytest.raises(InvalidFamilyParams) as err:
+            generate_family(family, *params)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("family,params", [
+        ("regular", (6, 3)), ("regular", (9, 4)), ("cycle", (5,)), ("path", (2,)),
+        ("complete", (1,)), ("complete", (6,)), ("complete_bipartite", (2, 5)),
+        ("star", (1,)), ("star", (7,)), ("double_star", (1, 3)), ("wheel", (6,)),
+        ("sunflower", (4,)), ("french_windmill", (4, 3)), ("french_windmill", (3, 5)),
+    ])
+    def test_size_matches_built_graph(self, family, params):
+        g = generate_family(family, *params)
+        assert _FAMILIES[family][3](*params) == (g.n, g.edge_count)
 
     def test_unknown_family(self):
         with pytest.raises(InvalidFamilyParams) as err:

@@ -98,6 +98,12 @@ class TestVerification:
         # star(24) has 25 vertices; every star oracle is a domination index.
         assert run_verification(families=["star"], lo=24, hi=24) == []
 
+    def test_only_the_refused_index_is_skipped(self):
+        # complete(25) is past the domination solver's bound but not RL1's reach.
+        results = run_verification(ids=["DRL1/complete", "RL1/complete"], lo=25, hi=25)
+        assert [(r.oracle_id, r.params) for r in results] == [("RL1/complete", (("n", 25),))]
+        assert results[0].verdict == "CONFIRMED"
+
     @pytest.mark.parametrize("family", ["complete", "cycle", "k1n", "knn", "path",
                                         "star", "sunflower", "wheel"])
     def test_one_parameter_grid(self, family):
@@ -133,12 +139,14 @@ class TestBaseline:
         # Verdict stability: the default grid must reproduce the shipped
         # baseline exactly (no flapping verdicts, no unknown points).
         results = run_verification(lo=3, hi=10)
-        deviations, unknown = compare_to_baseline(results, load_baseline())
+        deviations, unknown, stale = compare_to_baseline(results, load_baseline())
         assert deviations == []
         assert unknown == []
+        assert stale == []
 
     def test_baseline_regenerates_identically(self):
-        results = run_verification(lo=3, hi=10)
+        # The shipped baseline is written by `verify --range 2..10 --update-baseline`.
+        results = run_verification(lo=2, hi=10)
         assert baseline_from_results(results) == load_baseline()
 
     def test_known_confirmations_and_discrepancies(self):
