@@ -22,7 +22,9 @@ from .errors import (
 class Graph:
     """Simple undirected graph; immutable after construction."""
 
-    __slots__ = ("n", "edges", "adj", "degrees")
+    # ``_hash`` is filled in by the first ``hash()``: the table caches look a
+    # graph up by hash, and hashing the edges costs O(m) each time.
+    __slots__ = ("n", "edges", "adj", "degrees", "_hash")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -57,7 +59,12 @@ class Graph:
         return self.n == other.n and self.edges == other.edges
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.n, self.edges))
+            object.__setattr__(self, "_hash", value)
+            return value
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"

@@ -7,6 +7,8 @@ first), the reference for the engine's symmetric kernel table.
 ``parse_poly`` inverts ``ExpPoly.render``.
 ``edge_scan_census`` counts the edge partition of a degree-determined source
 edge by edge, from the definitions in ``topoidx.functionals``' docstring.
+``closeness_per_vertex`` is closeness from one BFS per vertex, the
+reference for the multi-source BFS of ``topoidx.functionals.closeness``.
 ``evaluate_descriptor`` (with ``_transformed_kernels``) and
 ``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
 that preceded the edge-census fold, kept verbatim so the census fold can be
@@ -19,10 +21,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Union
 
-from topoidx.errors import InverseUndefined, UnsupportedEvaluation
+from topoidx.errors import DisconnectedGraph, InverseUndefined, UnsupportedEvaluation
 from topoidx.exact import ExpPoly, Rat, RatLike, exact_sqrt, general_pow
 from topoidx.functionals import edge_endpoint_values
-from topoidx.graph import Graph
+from topoidx.graph import Graph, bfs_distances
 from topoidx.indices import _STANDALONE, Descriptor
 
 
@@ -201,3 +203,16 @@ def edge_scan_census(g: Graph, source: str) -> dict[tuple, int]:
         key = (a, b) if a <= b else (b, a)
         census[key] = census.get(key, 0) + 1
     return census
+
+
+def closeness_per_vertex(g: Graph) -> tuple[Fraction, ...]:
+    """Normalized closeness (n-1)/sum-of-distances; requires connectivity."""
+    if g.n == 1:
+        return (Fraction(1),)
+    out = []
+    for u in range(g.n):
+        dist = bfs_distances(g, u)
+        if any(d is None for d in dist):
+            raise DisconnectedGraph("closeness centrality needs a connected graph")
+        out.append(Fraction(g.n - 1, sum(dist)))
+    return tuple(out)

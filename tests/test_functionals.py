@@ -4,11 +4,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from topoidx import functionals
 from topoidx.errors import DisconnectedGraph, GraphTooLarge
 from topoidx.functionals import (
+    CLOSENESS_BLOCK,
     DOMINATION_MAX,
     _banhatti_pair,
+    _multi_source_distance_sums,
     cl_degrees,
     closeness,
     degree_census,
@@ -19,9 +24,9 @@ from topoidx.functionals import (
     revan_degrees,
     temperatures,
 )
-from topoidx.graph import Graph, generate_family
+from topoidx.graph import Graph, bfs_distances, generate_family
 
-from reference import domination_degrees_bruteforce, edge_scan_census
+from reference import closeness_per_vertex, domination_degrees_bruteforce, edge_scan_census
 
 from conftest import random_connected_graph
 
@@ -71,6 +76,36 @@ class TestVertexFunctionals:
         assert banhatti_pair(g, 0, 1) == (2 * (n - 2), 2 * (n - 2))
 
 
+@st.composite
+def connected_graphs(draw, max_n=40):
+    """A spanning path, cycle or random tree on shuffled labels, plus chords.
+
+    With few chords the path and cycle shapes have large eccentricities, so
+    ``closeness`` takes its one-BFS-per-vertex branch on them.
+    """
+    n = draw(st.integers(1, max_n))
+    order = draw(st.permutations(range(n)))
+    shape = draw(st.sampled_from(("path", "cycle", "tree")))
+    if shape == "tree":
+        edges = [(order[i], order[draw(st.integers(0, i - 1))]) for i in range(1, n)]
+    else:
+        edges = [(order[i], order[i + 1]) for i in range(n - 1)]
+        if shape == "cycle" and n >= 3:
+            edges.append((order[-1], order[0]))
+    vertex = st.integers(0, n - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    return Graph(n, edges + [(u, v) for u, v in chords if u != v])
+
+
+def distance_sums(g):
+    """Sum of distances per vertex, from the reference closeness table."""
+    return [(g.n - 1) * c.denominator // c.numerator for c in closeness_per_vertex(g)]
+
+
+def random_tree(rng, n):
+    return Graph(n, [(i, rng.randrange(i)) for i in range(1, n)])
+
+
 class TestCloseness:
     def test_complete(self):
         assert set(closeness(generate_family("complete", 5))) == {1}
@@ -86,6 +121,53 @@ class TestCloseness:
     def test_disconnected(self):
         with pytest.raises(DisconnectedGraph):
             closeness(Graph(2, []))
+
+    @pytest.mark.parametrize("g, expected", [
+        (Graph(0, []), ()),
+        (Graph(1, []), (1,)),
+        (Graph(2, [(0, 1)]), (1, 1)),
+    ], ids=["n0", "n1", "n2"])
+    def test_tiny(self, g, expected):
+        assert closeness(g) == closeness_per_vertex(g) == expected
+        assert all(type(value) is F for value in closeness(g))
+
+    def test_disconnected_before_any_bitset(self, monkeypatch):
+        def no_bitsets(g, block):
+            raise AssertionError("built bitsets for a disconnected graph")
+        monkeypatch.setattr(functionals, "_multi_source_distance_sums", no_bitsets)
+        with pytest.raises(DisconnectedGraph) as err:
+            closeness(Graph(5000, [(0, 1)]))
+        assert str(err.value) == "closeness centrality needs a connected graph"
+
+    @pytest.mark.parametrize("family, params, bitsets", [
+        ("path", (300,), False),
+        ("cycle", (401,), False),
+        ("regular", (400, 4), True),
+        ("wheel", (40,), True),
+        ("star", (CLOSENESS_BLOCK + 100,), True),
+    ])
+    def test_method_choice(self, monkeypatch, family, params, bitsets):
+        calls = []
+
+        def spy(g, block):
+            calls.append(block)
+            return _multi_source_distance_sums(g, block)
+        monkeypatch.setattr(functionals, "_multi_source_distance_sums", spy)
+        g = generate_family(family, *params)
+        assert closeness(g) == closeness_per_vertex(g)
+        assert calls == ([CLOSENESS_BLOCK] if bitsets else [])
+
+    @pytest.mark.parametrize("n", [CLOSENESS_BLOCK + 1, CLOSENESS_BLOCK + 300])
+    def test_more_vertices_than_one_block(self, n):
+        # A random recursive tree is shallow, so the bitsets run, in two blocks.
+        g = random_tree(random.Random(n), n)
+        assert 3 * 2 * max(bfs_distances(g, 0)) <= n
+        assert closeness(g) == closeness_per_vertex(g)
+
+    @given(connected_graphs(), st.sampled_from((1, 3, 8, CLOSENESS_BLOCK)))
+    def test_matches_per_vertex_bfs(self, g, block):
+        assert closeness(g) == closeness_per_vertex(g)
+        assert _multi_source_distance_sums(g, block) == distance_sums(g)
 
     def test_one_iff_dominating_vertex(self, small_families):
         for label, g in small_families:
@@ -200,6 +282,36 @@ class TestDegreeDeterminedCensus:
         g = generate_family("wheel", 7)
         assert degree_census(g) is degree_census(Graph(g.n, g.edges))
         assert degree_census(g) == (((3, 7), 7), ((3, 3), 7))
+
+
+class TestClosenessCensus:
+    """The census keyed on distance sums equals an edge scan of the closeness table.
+
+    Compared as item lists with key types, as for the degree-determined census.
+    """
+
+    @staticmethod
+    def assert_census(g, label):
+        table = closeness_per_vertex(g)
+        want: dict = {}
+        for u, v in g.edges:
+            a, b = table[u], table[v]
+            key = (a, b) if a <= b else (b, a)
+            want[key] = want.get(key, 0) + 1
+        got = list(edge_census(g, "closeness").items())
+        assert got == list(want.items()), label
+        assert [tuple(map(type, key)) for key, _ in got] == \
+            [tuple(map(type, key)) for key in want], label
+
+    def test_every_family(self, small_families):
+        for label, g in small_families:
+            self.assert_census(g, label)
+
+    def test_random_connected_graphs(self):
+        rng = random.Random(1212)
+        for i in range(60):
+            g = random_connected_graph(rng, rng.randint(1, 40), rng.choice((0.2, 0.5)))
+            self.assert_census(g, f"random{i}")
 
 
 class TestAgainstNetworkx:

@@ -101,3 +101,40 @@ def test_compute_names(label, tmp_path, capsys):
     write_graph(g, path)
     out = _stdout(capsys, "compute", path, *argv)
     assert _sha(out.replace(path, label)) == digest
+
+
+# RL7-RL12 on graphs that take both closeness methods: one BFS per vertex on
+# the path and the cycle, the multi-source BFS on the others, in two blocks
+# on star(1500).  The pins include the ``~`` floats of RL10 and RL11.
+CLOSENESS_NAMES = "RL7,RL8,RL9,RL10,RL11,RL12"
+
+COMPUTE_CLOSENESS = {
+    "wheel_1000": (("wheel", 1000),
+                   "e48aa260767e0b95611d099bf092a49c3e0a4b91c591b4fa068fa03ca0c6bf0c"),
+    "regular_400_4": (("regular", 400, 4),
+                      "90956449c76cbef423afac19ac5aa614aad442a04049e69f20cb1b4cab3c138a"),
+    "sunflower_100": (("sunflower", 100),
+                      "ab6f327dcd940e8398cd37ec627c6efe9d2f74d5fa79add64116d6f93ae95583"),
+    "cycle_401": (("cycle", 401),
+                  "7ddbdb5ede82684d17c7c21ae598fe9d917e587d54af66cb32aa4166231540be"),
+    "path_300": (("path", 300),
+                 "d4e19e100ebca317f175ec24b8bb3f312b2891d09ed29132d7c05f12dcc120ba"),
+    "star_1500": (("star", 1500),
+                  "d49a5e89628a39178d449d82edd8d2030ca18bcf4d5364db37bf5817591cb23e"),
+}
+
+
+@pytest.mark.parametrize("label", sorted(COMPUTE_CLOSENESS))
+def test_compute_closeness(label, tmp_path, capsys):
+    family, digest = COMPUTE_CLOSENESS[label]
+    path = str(tmp_path / f"{label}.g")
+    write_graph(generate_family(*family), path)
+    out = _stdout(capsys, "compute", path, "--index", CLOSENESS_NAMES, "--format", "csv", "--float")
+    assert _sha(out.replace(path + ",", label + ",")) == digest
+
+
+def test_functionals_closeness(tmp_path, capsys):
+    path = str(tmp_path / "wheel_1000.g")
+    write_graph(generate_family("wheel", 1000), path)
+    out = _stdout(capsys, "functionals", path, "--source", "closeness")
+    assert _sha(out) == "6239fe837ce8d2f6a46e54bf9477ce91b95d2d63a1a679ca03bd916a47f5de4b"

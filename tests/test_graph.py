@@ -12,7 +12,7 @@ from topoidx.errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-from topoidx.functionals import edge_census
+from topoidx.functionals import edge_census, vertex_table
 from topoidx.graph import (
     _FAMILIES,
     MAX_VERTICES,
@@ -59,6 +59,24 @@ class TestBuildGraph:
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n = 5
+
+    def test_equal_graphs_hash_equal(self):
+        g = Graph(4, [(0, 1), (2, 1), (3, 0)])
+        h = Graph(4, [(0, 3), (1, 2), (1, 0), (3, 0)])
+        assert g == h and hash(g) == hash(h)
+        assert hash(g) == hash(g) == hash(Graph(4, g.edges))
+        assert hash(Graph(5, g.edges)) != hash(g)
+
+    def test_cached_hash_survives_lookups(self):
+        g = generate_family("wheel", 9)
+        first = hash(g)
+        with pytest.raises(AttributeError):
+            g._hash = 0
+        hits = vertex_table.cache_info().hits
+        for _ in range(3):
+            assert vertex_table(g, "plain") is vertex_table(Graph(g.n, g.edges), "plain")
+        assert vertex_table.cache_info().hits >= hits + 5
+        assert g._hash == hash(g) == first
 
 
 class TestGenerators:
