@@ -8,9 +8,11 @@ Subcommands:
   list-indices  dump the full registry, one index per line
   functionals   per-vertex functional table as CSV
 
-Values print as exact rationals ``num/den`` or canonical polynomial strings;
-floats appear only under --float (12 significant digits) or for the few
-inherently irrational indices, which are marked with a leading ``~``.
+Values print as exact rationals ``num/den`` or canonical polynomial strings.
+Floats appear in exactly three places: the --float column (12 significant
+digits), general-power transforms with a non-integer exponent such as
+GRL1(a=1/2), and square-root indices whose radicands are not perfect squares;
+the last two are marked with a leading ``~``.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from .functionals import VERTEX_TABLES, vertex_table
 from .graph import dumps, family_label, generate_family, read_graph
 from .indices import Descriptor, all_index_names, describe, evaluate, lookup
 from .oracles import (
+    CONFIRMED,
+    DISCREPANT,
     baseline_from_results,
     compare_to_baseline,
     load_baseline,
@@ -130,8 +134,8 @@ def cmd_verify(args) -> int:
         print(f"baseline written: {args.update_baseline}", file=sys.stderr)
         return 0
     deviations, unknown, stale = compare_to_baseline(results, baseline)
-    confirmed = sum(1 for r in results if r.verdict == "CONFIRMED")
-    discrepant = sum(1 for r in results if r.verdict == "DISCREPANT")
+    confirmed = sum(1 for r in results if r.verdict == CONFIRMED)
+    discrepant = sum(1 for r in results if r.verdict == DISCREPANT)
     print(
         f"# {len(results)} checks: {confirmed} CONFIRMED, {discrepant} DISCREPANT, "
         f"{len(results) - confirmed - discrepant} errors; "

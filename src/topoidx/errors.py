@@ -44,9 +44,9 @@ class GraphTooLarge(TopoidxError):
 class InverseUndefined(TopoidxError):
     """Reciprocal transform met a zero per-edge kernel."""
 
-    def __init__(self, edge, message=None):
+    def __init__(self, edge):
         self.edge = edge
-        super().__init__(message or f"zero kernel on edge {edge} under a reciprocal transform")
+        super().__init__(f"zero kernel on edge {edge} under a reciprocal transform")
 
 
 class UnknownIndexName(TopoidxError, ValueError):

@@ -4,15 +4,16 @@ Each oracle entry transcribes one published closed form exactly as displayed,
 including absolute values and any typos: the point of the verifier is to
 report where a displayed formula disagrees with direct evaluation of the
 definitions, so formulas are never silently corrected.  That display text is
-the only copy of a formula: `verify` evaluates the text itself, reading it
-on each evaluation (never at import) in this grammar: integers and the
-single-letter parameters; implicit multiplication, ``+ - * /`` and ``^``;
-``|...|`` for absolute value; ``x^e`` terms, which build ``ExpPoly``
-monomials; a trailing ``[stated with side condition ...]`` note, ignored.
-Ids ending in ``exp`` give an ``ExpPoly`` (constants lifted to ``x^0``),
-all others a ``Fraction``.  A verdict is CONFIRMED only on exact equality
-(rationals compared exactly, polynomials term by term); there is no
-tolerance.
+the only copy of a formula.  `verify` reads it on each evaluation (never at
+import) with Python's expression parser, after three rewrites: juxtaposition
+becomes ``*``, ``^`` becomes ``**`` (so it groups right to left), and each bar
+of ``|...|`` becomes ``abs(`` or ``)``; a trailing ``[stated with side
+condition ...]`` note is dropped.  Decimal integers without leading zeros, the
+one-letter parameters, ``x`` (whose powers build ``ExpPoly`` monomials),
+``+ - * / ^`` and bars are read; anything else is a ValueError naming the
+oracle.  Ids ending in ``exp`` give an ``ExpPoly`` (constants lifted to
+``x^0``), all others a ``Fraction``.  A verdict is CONFIRMED only on exact
+equality (rationals compared exactly, polynomials term by term), with no tolerance.
 
 Verdicts can legitimately differ across parameter points (coincidental
 equalities exist, e.g. NRL1 on the 3-cycle), so the shipped baseline stores
@@ -21,6 +22,7 @@ a default verdict per oracle plus per-point exceptions.
 
 from __future__ import annotations
 
+import ast
 import json
 import re
 from dataclasses import dataclass
@@ -49,7 +51,7 @@ _RANGES = {
 }
 
 _X = ExpPoly.monomial(1)
-_LEVELS = (("+", "-"), ("*", "/"), ("^",))  # binding, loosest first
+_OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
 
 
 def _lift(value) -> ExpPoly:
@@ -69,61 +71,45 @@ def _apply(op: str, a, b):
     return Fraction(a) / b if op == "/" else a * b
 
 
-class _Reader:
-    """Recursive-descent evaluation of one display at one parameter point.
+def _python_text(display: str) -> str:
+    """The display as Python text.  Inside ``|...|`` a bar after a factor closes
+    it, any other bar opens one; space-joined tokens keep ``**`` an error."""
+    out, bars, after_factor = [], 0, False
+    display = re.sub(r"\s*\[stated with side condition [^]]*\]$", "", display)
+    for token in re.findall(r"\d+|\S", display):
+        if token == "|" and bars and after_factor:
+            token, bars = ")", bars - 1
+        elif token in ("|", "(") or token.isalnum():
+            if after_factor:
+                out.append("*")  # juxtaposition multiplies
+            if token == "|":
+                token, bars = "abs(", bars + 1
+        out.append("**" if token == "^" else token)
+        after_factor = token == ")" or token.isalnum()
+    return " ".join(out)
 
-    Inside ``|...|`` a bar after a factor closes it; elsewhere it opens one.
-    """
 
-    def __init__(self, entry: "OracleEntry", names: dict):
-        self.entry, self.names = entry, names
-        text = re.sub(r"\s*\[stated with side condition [^]]*\]$", "", entry.formula_text)
-        self.tokens = re.findall(r"\d+|\S", text) + [""]  # "" marks the end
-        self.pos = self.bars = 0
+def _display_value(entry: "OracleEntry", names: dict):
+    """The value of one display at one point, walking its parsed Python text."""
+    def value(node):
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPERATORS:
+            return _apply(_OPERATORS[type(node.op)], value(node.left), value(node.right))
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "abs" and len(node.args) == 1 and not node.keywords):
+            return abs(value(node.args[0]))
+        raise ValueError(f"cannot evaluate {ast.unparse(node)!r}")
 
-    def fail(self, why: str):
-        raise ValueError(f"{self.entry.id}: {why} in display {self.entry.formula_text!r}")
-
-    def take(self, expected: Optional[str] = None) -> str:
-        token = self.tokens[self.pos]
-        if not token or expected not in (None, token):
-            self.fail(f"expected {expected or 'a factor'} at token {self.pos}")
-        self.pos += 1
-        return token
-
-    def value(self):
-        value = self.expr()
-        if self.tokens[self.pos]:
-            self.fail(f"trailing token {self.tokens[self.pos]!r}")
-        return value
-
-    def expr(self, level: int = 0):
-        if level == len(_LEVELS):
-            return self.atom()
-        value = self.expr(level + 1)
-        while True:
-            token = self.tokens[self.pos]
-            if token in _LEVELS[level]:
-                self.pos += 1
-            elif level == 1 and (token.isalnum() or token == "(" or (token == "|" and not self.bars)):
-                token = "*"  # juxtaposition multiplies
-            else:
-                return value
-            value = _apply(token, value, self.expr(level + 1))
-
-    def atom(self):
-        token = self.take()
-        if token.isdigit():
-            return int(token)
-        if token in ("(", "|"):
-            self.bars += token == "|"
-            value = self.expr()
-            self.take(")" if token == "(" else "|")
-            self.bars -= token == "|"
-            return abs(value) if token == "|" else value
-        if token not in self.names:
-            self.fail(f"unknown token {token!r}")
-        return self.names[token]
+    try:
+        text = _python_text(entry.formula_text)
+        if not text.isascii():  # the parser reads a math-italic n as n
+            raise ValueError("a character outside ASCII")
+        return value(ast.parse(text, mode="eval").body)
+    except (SyntaxError, ValueError) as exc:
+        raise ValueError(f"{entry.id}: {exc.args[0]} in display {entry.formula_text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -142,8 +128,8 @@ class OracleEntry:
                 f"{self.id} is stated for {self.range_text}, got {params}"
             )
         if self.index.endswith("exp"):
-            return _lift(_Reader(self, dict(params, x=_X)).value())
-        return Fraction(_Reader(self, params).value())
+            return _lift(_display_value(self, dict(params, x=_X)))
+        return Fraction(_display_value(self, params))
 
 
 @dataclass(frozen=True)
@@ -160,22 +146,6 @@ class OracleResult:
 
 
 _ENTRIES: dict[str, OracleEntry] = {}
-
-# Family key -> the generator family and parameters at an oracle point.
-_FAMILY_SPECS = {
-    "regular": lambda p: ("regular", (p["n"], p["r"])),
-    "cycle": lambda p: ("cycle", (p["n"],)),
-    "complete": lambda p: ("complete", (p["n"],)),
-    "path": lambda p: ("path", (p["n"],)),
-    "kmn": lambda p: ("complete_bipartite", (p["m"], p["n"])),
-    "knn": lambda p: ("complete_bipartite", (p["n"], p["n"])),
-    "k1n": lambda p: ("complete_bipartite", (1, p["n"])),
-    "wheel": lambda p: ("wheel", (p["n"],)),
-    "sunflower": lambda p: ("sunflower", (p["n"],)),
-    "star": lambda p: ("star", (p["n"],)),
-    "double_star": lambda p: ("double_star", (p["p"], p["q"])),
-    "windmill": lambda p: ("french_windmill", (p["n"], p["m"])),
-}
 
 
 def _add(family, index, text, range_text):
@@ -512,8 +482,8 @@ def oracle_eval(oracle_id: str, **params):
     return entry.eval(**params)
 
 
-def _family_points(family: str, lo: int, hi: int) -> Iterable[dict]:
-    """Parameter grid of a family over the range lo..hi.
+def _family_points(family: str, lo: int, hi: int) -> Iterable[tuple[dict, tuple]]:
+    """(Parameter point, ``generate_family`` arguments) pairs over lo..hi.
 
     The one-parameter families take n in max(lo, 2)..hi, and regular takes
     the same n with r in 2, 3, 4.  kmn takes n in max(lo, 2)..min(hi, 6) with
@@ -524,22 +494,25 @@ def _family_points(family: str, lo: int, hi: int) -> Iterable[dict]:
     if family == "regular":
         for n in range(max(lo, 2), hi + 1):
             for r in (2, 3, 4):
-                yield {"n": n, "r": r}
+                yield {"n": n, "r": r}, ("regular", n, r)
     elif family == "kmn":
         for n in range(max(lo, 2), min(hi, 6) + 1):
             for m in range(1, n + 1):
-                yield {"m": m, "n": n}
+                yield {"m": m, "n": n}, ("complete_bipartite", m, n)
     elif family == "double_star":
         for p in range(1, min(hi, 4) + 1):
             for q in range(p, min(hi, 4) + 1):
-                yield {"p": p, "q": q}
+                yield {"p": p, "q": q}, ("double_star", p, q)
     elif family == "windmill":
         for n in range(3, min(hi, 5) + 1):
             for m in (3, 4):
-                yield {"n": n, "m": m}
+                yield {"n": n, "m": m}, ("french_windmill", n, m)
+    elif family in ("knn", "k1n"):
+        for n in range(max(lo, 2), hi + 1):
+            yield {"n": n}, ("complete_bipartite", n if family == "knn" else 1, n)
     else:
         for n in range(max(lo, 2), hi + 1):
-            yield {"n": n}
+            yield {"n": n}, (family, n)
 
 
 def run_verification(
@@ -556,7 +529,7 @@ def run_verification(
     """
     family_filter = set(families) if families else None
     id_filter = set(ids) if ids else None
-    for kind, given, known in (("family", family_filter, _FAMILY_SPECS),
+    for kind, given, known in (("family", family_filter, {e.family for e in _ENTRIES.values()}),
                                ("id", id_filter, _ENTRIES)):
         unknown = sorted((given or set()) - set(known))
         if unknown:
@@ -569,12 +542,11 @@ def run_verification(
             continue
         if id_filter and oracle_id not in id_filter:
             continue
-        for params in _family_points(entry.family, lo, hi):
+        for params, spec in _family_points(entry.family, lo, hi):
             if not _RANGES[entry.range_text](**params):
                 continue
-            spec = _FAMILY_SPECS[entry.family](params)
             if spec not in graph_cache:
-                graph_cache[spec] = generate_family(spec[0], *spec[1])
+                graph_cache[spec] = generate_family(*spec)
             point = tuple(sorted(params.items()))
             try:
                 direct = evaluate(graph_cache[spec], entry.index)

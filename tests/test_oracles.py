@@ -44,7 +44,7 @@ class TestOracleEval:
     def test_every_entry_evaluates_at_default_point(self):
         defaults = {"n": 4, "r": 2, "m": 3, "p": 2, "q": 2}
         for oracle_id, entry in _ENTRIES.items():
-            names = next(_family_points(entry.family, 4, 4))
+            names, _ = next(_family_points(entry.family, 4, 4))
             params = {name: defaults[name] for name in names}
             if entry.family == "windmill":
                 params = {"n": 4, "m": 3}
@@ -54,12 +54,30 @@ class TestOracleEval:
             expected_type = ExpPoly if entry.index.endswith("exp") else Fraction
             assert type(value) is expected_type, oracle_id
 
-    @pytest.mark.parametrize("text", ["3n^2|n-3", "n(n+1))", "3k^2"],
-                             ids=["unbalanced-bar", "trailing-token", "unknown-letter"])
+    @pytest.mark.parametrize("text", ["3n^2|n-3", "n(n+1))", "3k^2", "-n", "n**2", "n<3",
+                                      "", "n.5", "[n]", "abs(n)", "'n'", "|n, 3|",
+                                      "2\U0001d45b"],
+                             ids=["unbalanced-bar", "trailing-token", "unknown-letter",
+                                  "unary-minus", "python-power", "comparison", "empty",
+                                  "decimal-point", "list", "python-call", "string",
+                                  "two-argument-bar", "non-ascii-letter"])
     def test_malformed_display_names_the_oracle(self, text):
         entry = OracleEntry("RL4/wheel", "wheel", "RL4", text, "n >= 3")
         with pytest.raises(ValueError, match="RL4/wheel"):
             entry.eval(n=4)
+
+    @pytest.mark.parametrize("text, value", [
+        ("|n| |n|", 16),
+        ("|n - |m||", 1),
+        ("(n)(m)", 12),
+        ("2 3", 6),
+        ("n^(0-1)", Fraction(1, 4)),
+        ("|m^n - n^m| m^(n+1) n^(m+1)", 1057536),
+        ("2^3^2", 512),  # ^ groups right to left
+    ])
+    def test_accepted_display_forms(self, text, value):
+        entry = OracleEntry("RL4/kmn", "kmn", "RL4", text, "1 <= m <= n, n >= 2")
+        assert entry.eval(m=3, n=4) == value
 
     def test_non_integral_polynomial_coefficient_is_an_error(self):
         # Truncating 3/2 to 1 would compare a polynomial nobody published.
@@ -107,23 +125,26 @@ class TestVerification:
     @pytest.mark.parametrize("family", ["complete", "cycle", "k1n", "knn", "path",
                                         "star", "sunflower", "wheel"])
     def test_one_parameter_grid(self, family):
-        assert list(_family_points(family, 1, 5)) == [{"n": n} for n in (2, 3, 4, 5)]
-        assert list(_family_points(family, 7, 9)) == [{"n": n} for n in (7, 8, 9)]
+        call = {"knn": lambda n: ("complete_bipartite", n, n),
+                "k1n": lambda n: ("complete_bipartite", 1, n)}.get(family, lambda n: (family, n))
+        assert list(_family_points(family, 1, 5)) == [({"n": n}, call(n)) for n in (2, 3, 4, 5)]
+        assert list(_family_points(family, 7, 9)) == [({"n": n}, call(n)) for n in (7, 8, 9)]
 
     def test_two_parameter_grids(self):
         assert list(_family_points("regular", 5, 6)) == [
-            {"n": n, "r": r} for n in (5, 6) for r in (2, 3, 4)]
+            ({"n": n, "r": r}, ("regular", n, r)) for n in (5, 6) for r in (2, 3, 4)]
         # kmn caps n at 6.
         assert list(_family_points("kmn", 5, 20)) == [
-            {"m": m, "n": n} for n in (5, 6) for m in range(1, n + 1)]
+            ({"m": m, "n": n}, ("complete_bipartite", m, n))
+            for n in (5, 6) for m in range(1, n + 1)]
         assert list(_family_points("kmn", 7, 20)) == []
         # double_star and windmill ignore the lower bound and cap the upper.
         assert list(_family_points("double_star", 9, 9)) == [
-            {"p": p, "q": q} for p in range(1, 5) for q in range(p, 5)]
+            ({"p": p, "q": q}, ("double_star", p, q)) for p in range(1, 5) for q in range(p, 5)]
         assert list(_family_points("double_star", 3, 3)) == [
-            {"p": p, "q": q} for p in range(1, 4) for q in range(p, 4)]
+            ({"p": p, "q": q}, ("double_star", p, q)) for p in range(1, 4) for q in range(p, 4)]
         assert list(_family_points("windmill", 5, 5)) == [
-            {"n": n, "m": m} for n in (3, 4, 5) for m in (3, 4)]
+            ({"n": n, "m": m}, ("french_windmill", n, m)) for n in (3, 4, 5) for m in (3, 4)]
         assert list(_family_points("windmill", 3, 20)) == \
             list(_family_points("windmill", 5, 5))
 
