@@ -8,8 +8,10 @@ need.
 
 ``ExpPoly`` is the polynomial form of an index: a sparse sum of terms
 ``coeff * x^exponent`` with integer coefficients and *rational* exponents
-(reciprocal-kernel exponents such as 48/(n-2)^2 are not integers).  Values
-are immutable once built and safe to share between threads.
+(reciprocal-kernel exponents such as 48/(n-2)^2 are not integers).  An
+integral exponent may be stored as an ``int``; it hashes and compares equal
+to the ``Fraction`` of the same value, so the two are one key.  Values are
+immutable once built and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -105,16 +107,19 @@ class ExpPoly:
     """Sparse polynomial in one variable with rational exponents.
 
     Terms map exponent -> integer coefficient; zero coefficients are never
-    stored and exponents are unique, so equality is structural.  Instances
-    are immutable.  A float exponent (a non-integer general power) and a
-    non-integral coefficient raise UnsupportedEvaluation: exponents must stay
-    rational and coefficients integral.
+    stored and exponents are unique, so equality is structural.  An ``int``
+    exponent is stored as it is and any other as a ``Fraction``; readers use
+    only ``numerator``, ``denominator``, comparison and arithmetic, which
+    both types share.  Instances are immutable.  A float exponent (a
+    non-integer general power) and a non-integral coefficient raise
+    UnsupportedEvaluation: exponents must stay rational and coefficients
+    integral.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable, None] = None):
-        acc: dict[Fraction, int] = {}
+        acc: dict[Union[int, Fraction], int] = {}
         if terms:
             pairs = terms.items() if isinstance(terms, Mapping) else terms
             for exponent, coeff in pairs:
@@ -127,7 +132,8 @@ class ExpPoly:
                     if coeff != int(coeff):
                         raise UnsupportedEvaluation(f"coefficient {coeff} is not an integer")
                     coeff = int(coeff)
-                exponent = Fraction(exponent)
+                if type(exponent) is not int:
+                    exponent = Fraction(exponent)
                 acc[exponent] = acc.get(exponent, 0) + coeff
         for e in [e for e, c in acc.items() if c == 0]:
             del acc[e]
@@ -140,8 +146,8 @@ class ExpPoly:
     def monomial(cls, exponent: RatLike, coeff: int = 1) -> "ExpPoly":
         return cls({exponent: coeff})
 
-    def terms(self) -> list[tuple[Fraction, int]]:
-        """Term list in canonical order (descending exponent)."""
+    def terms(self) -> list[tuple[Union[int, Fraction], int]]:
+        """Term list in canonical order (descending exponent, int or Fraction)."""
         return sorted(self._terms.items(), key=lambda item: item[0], reverse=True)
 
     def __len__(self) -> int:

@@ -106,16 +106,30 @@ class Descriptor:
         )
 
 
+def _tree(op, items: list, identity):
+    """Combine ``items`` pairwise, level by level, so that operands grow together."""
+    while len(items) > 1:
+        odd = items[-1:] if len(items) % 2 else []
+        items = list(map(op, items[::2], items[1::2])) + odd
+    return items[0] if items else identity
+
+
 def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     """Fold a per-class term over an edge census; every index is one such fold.
 
     Each class (pair of endpoint values, count c) with term t contributes
-    c*t to a sum, t^c to a product and c*x^t to a polynomial.
+    c*t to a sum, t^c to a product and c*x^t to a polynomial.  An exact
+    product multiplies in balanced trees, so each step multiplies numbers of
+    like size rather than the whole running product by one more power.
     """
     terms = ((term(*pair), c) for pair, c in census.items())
     if form == "exponential" and aggregation == "sum":
         return ExpPoly(terms)
     if form == "value" and aggregation == "product":
+        terms = list(terms)
+        if not any(isinstance(t, float) for t, _ in terms):
+            return Fraction(_tree(operator.mul, [t.numerator**c for t, c in terms], 1),
+                            _tree(operator.mul, [t.denominator**c for t, c in terms], 1))
         # A float power raises OverflowError where repeated products reach inf.
         powers = (math.prod(repeat(t, c)) if isinstance(t, float) else t**c for t, c in terms)
         return math.prod(powers, start=Fraction(1))

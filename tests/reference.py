@@ -12,13 +12,14 @@ reference for the multi-source BFS of ``topoidx.functionals.closeness``.
 ``evaluate_descriptor`` (with ``_transformed_kernels``) and
 ``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
 that preceded the edge-census fold, kept verbatim so the census fold can be
-tested against them.
+tested against them.  ``product_fold`` is the left-to-right census product
+that preceded the product tree, kept verbatim for the same reason.
 """
 
 import math
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Optional, Union
 
 from topoidx.errors import DisconnectedGraph, InverseUndefined, UnsupportedEvaluation
@@ -149,6 +150,13 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
     if d.aggregation == "sum":
         return ExpPoly((t, 1) for t in terms)
     return ExpPoly.monomial(sum(terms, Fraction(0)), 1)
+
+
+def product_fold(terms: Iterable[tuple]) -> Union[Rat, float]:
+    """The product of t^c over (term t, count c) pairs, left to right."""
+    # A float power raises OverflowError where repeated products reach inf.
+    powers = (math.prod(repeat(t, c)) if isinstance(t, float) else t**c for t, c in terms)
+    return math.prod(powers, start=Fraction(1))
 
 
 def sqrt_sum_per_edge(radicands: Iterable[RatLike]) -> Union[Rat, float]:

@@ -121,6 +121,21 @@ class TestExpPoly:
     def test_derivative_at_one(self):
         p = ExpPoly({27: 4, 37: 4})
         assert p.derivative_at_one() == 4 * 27 + 4 * 37 == 256
+        assert type(p.derivative_at_one()) is F
+        assert type(ExpPoly().derivative_at_one()) is F
+
+    # An int exponent is stored as it is, a Fraction as a Fraction; equal
+    # values are one key either way.
+    def test_int_and_fraction_exponents_are_one_key(self):
+        assert ExpPoly({3: 1}) == ExpPoly({F(3): 1})
+        assert hash(ExpPoly({3: 1})) == hash(ExpPoly({F(3): 1}))
+        merged = ExpPoly([(3, 1), (F(3), 2)])
+        assert len(merged) == 1 and merged.terms()[0][1] == 3
+        assert merged == ExpPoly([(F(3), 1), (3, 2)]) == ExpPoly({3: 3})
+
+    def test_mixed_exponent_types_render_as_before(self):
+        assert ExpPoly({F(7, 2): 1, 3: 2}).render() == "1*x^7/2 + 2*x^3"
+        assert ExpPoly({3: 2, F(7, 2): 1, F(-4, 2): 5}).render() == "1*x^7/2 + 2*x^3 + 5*x^-2"
 
     def test_constant_eval(self):
         assert ExpPoly.monomial(0).evaluate(1) == 1

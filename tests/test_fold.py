@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from topoidx.errors import InverseUndefined, TopoidxError
 from topoidx.exact import ExpPoly
-from topoidx.graph import Graph
+from topoidx.graph import Graph, generate_family
 from topoidx.indices import (
     _KERNELS,
     _fold,
@@ -157,26 +157,26 @@ def test_local_indices_fold_over_disjoint_union(g, h):
         assert evaluate(union, name) == evaluate(g, name) + evaluate(h, name), name
 
 
-# Per-class terms of every type a sum fold meets: ints, Fractions and floats.
-TERMS = st.lists(
-    st.tuples(st.integers(-10**30, 10**30)
-              | st.fractions(max_denominator=10**6)
-              | st.floats(-1e12, 1e12, allow_nan=False),
-              st.integers(1, 10**5)),
-    max_size=12,
-)
+# Per-class terms of every type a fold meets: ints, Fractions and floats.
+TERM = (st.integers(-10**30, 10**30)
+        | st.fractions(max_denominator=10**6)
+        | st.floats(-1e12, 1e12, allow_nan=False))
+TERMS = st.lists(st.tuples(TERM, st.integers(1, 10**5)), max_size=12)
+# A product raises each term to its count; small counts keep the
+# left-to-right reference quick.  Float powers still overflow to inf.
+PRODUCT_TERMS = st.lists(st.tuples(TERM, st.integers(1, 40)), max_size=12)
 
 
-def folded_sum(terms):
-    """``_fold``'s sum over a census whose i-th class has term t and count c."""
+def folded(terms, aggregation):
+    """``_fold``'s value over a census whose i-th class has term t and count c."""
     census = {(i, i): c for i, (_, c) in enumerate(terms)}
-    return _fold(census, lambda i, _: terms[i][0], "sum", "value")
+    return _fold(census, lambda i, _: terms[i][0], aggregation, "value")
 
 
 def test_integer_sum_is_a_fraction():
-    total = folded_sum([(3, 2), (10**40, 7), (-5, 1)])
+    total = folded([(3, 2), (10**40, 7), (-5, 1)], "sum")
     assert type(total) is F and total == 7 * 10**40 + 1
-    assert type(folded_sum([])) is F and folded_sum([]) == 0
+    assert type(folded([], "sum")) is F and folded([], "sum") == 0
 
 
 @settings(max_examples=300, deadline=None)
@@ -192,10 +192,50 @@ def test_sum_fold_matches_fraction_start_to_the_bit(terms):
     The examples tell left-to-right addition from the compensated float
     summation that ``sum()`` uses from Python 3.12 when its start is an int.
     """
-    got = folded_sum(terms)
+    got = folded(terms, "sum")
     want = sum((c * t for t, c in terms), F(0))
     assert type(got) is type(want), (terms, got, want)
     if isinstance(want, float):
         assert got.hex() == want.hex(), (terms, got, want)
     else:
         assert got == want, (terms, got, want)
+
+
+def settled(fn, terms):
+    """The value of ``fn(terms)``, or OverflowError if an exact factor is past the float range."""
+    try:
+        return fn(terms)
+    except OverflowError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PRODUCT_TERMS)
+@example([(3, 2), (0, 1), (F(-5, 7), 3)])  # a zero term gives 0, not 1
+@example([(-2, 3), (F(-1, 3), 2), (-7, 1), (F(5, -9), 4)])
+@example([])
+@example([(F(2, 3), 3), (1e300, 2), (4, 1)])  # 1e300**2 is inf
+@example([(6, 4), (F(9, 4), 2), (F(1, 6), 5)])  # factors cancel across classes
+def test_product_fold_matches_left_to_right_to_the_bit(terms):
+    """The product trees give the value and type of the left-to-right product.
+
+    Exact terms multiply in two trees, numerators and denominators, reduced
+    once at the end; with any float term the fold is the left-to-right
+    product itself, so a float result, inf included, carries the same bits.
+    """
+    got = settled(lambda ts: folded(ts, "product"), terms)
+    want = settled(reference.product_fold, terms)
+    assert type(got) is type(want), (terms, got, want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex(), (terms, got, want)
+    else:
+        assert got == want, (terms, got, want)
+
+
+def test_zero_and_empty_products_pinned():
+    # path(4) has a 2-2 edge, whose variant-4 kernel |a-b|ab is zero.
+    assert evaluate(generate_family("path", 4), "MRL4") == 0
+    assert type(evaluate(generate_family("path", 4), "MRL4")) is F
+    for name in ("MRL1", "MIRL1"):
+        value = evaluate(Graph(3, []), name)
+        assert type(value) is F and value == 1, name

@@ -6,6 +6,7 @@ refactor of the evaluation or rendering path must leave them all equal.
 """
 
 import hashlib
+import random
 
 import pytest
 
@@ -46,6 +47,17 @@ def test_verify_csv(argv, digest, capsys):
     assert _sha(_stdout(capsys, "verify", "--format", "csv", *argv)) == digest
 
 
+def _random_graph(seed: int, n: int, m: int) -> Graph:
+    """Distinct uniformly random vertex pairs until there are ``m`` edges."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
 COMPUTE_ALL = {
     "wheel_4": (generate_family("wheel", 4),
                 "51793ec62c6d188d4216d4129ec7ebbeccbe6017f09a6708f268a01170772a97"),
@@ -63,6 +75,11 @@ COMPUTE_ALL = {
     # RL5, RL13-RL17 and HeronianRL give values.
     "disconnected_3": (Graph(3, [(0, 1)]),
                        "9e9f12319c4fdd3eb120a7727b9509363dc522083284b0f1485abbf0171dec88"),
+    # Connected, with tens of census classes, so product names multiply
+    # tens of powers; recorded from the left-to-right folds.  n > 24, so the
+    # domination names give GraphTooLarge rows.
+    "random_7_30_66": (_random_graph(7, 30, 66),
+                       "7ef1064836890de286fe652900c7d43d4b4568535f6851ed8c2d9e1e46de68d2"),
 }
 
 
