@@ -18,12 +18,12 @@ so no banhatti or temperature denominator is zero.
 
 The first four sources are degree-determined: the values at the ends of an
 edge uv depend only on d(u), d(v) and the graph, so their edge census is the
-degree-pair census relabelled class by class.  Closeness (n-1)/S is
+degree-pair (plain) census relabelled class by class.  Closeness (n-1)/S is
 injective in the integer distance sum S, so its census counts int pairs of
 S and relabels those classes.  The distance sums come from one bit-parallel
 multi-source BFS, or from one BFS per vertex on graphs as long as paths and
-cycles.  All functions are pure; the degree-pair census and the per-source
-vertex tables are cached against the immutable graph.
+cycles.  All functions are pure; the per-source vertex tables are cached
+against the immutable graph, and its small edge censuses kept in its memo.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from types import MappingProxyType
 
 from .errors import DisconnectedGraph, GraphTooLarge
 from .graph import Graph, bfs_distances
@@ -254,29 +255,32 @@ def _merge(weighted_pairs) -> dict[tuple, int]:
     return census
 
 
-@lru_cache(maxsize=512)
-def degree_census(g: Graph) -> tuple[tuple[tuple[int, int], int], ...]:
-    """((d_u, d_v), edge count) per sorted endpoint-degree pair, in the order of first edge."""
-    degrees = g.degrees
-    return tuple(_merge((degrees[u], degrees[v], 1) for u, v in g.edges).items())
-
-
-def edge_census(g: Graph, source: str) -> dict[tuple, int]:
+def edge_census(g: Graph, source: str) -> MappingProxyType:
     """Count edges by sorted pair of endpoint values (the edge partition).
 
     Every index is a symmetric form of the endpoint values, so a fold over
-    this census.  Classes keep the order of their first edge.  A
-    degree-determined source maps the classes of the cached degree-pair
-    census and adds the counts of classes that coincide; closeness maps the
-    classes of a census of distance-sum pairs, one to one; any other source
-    scans the edges against its vertex table.  The returned dict is new on
-    every call.
+    this census.  Classes keep the order of their first edge.  The plain
+    census is the degree-pair census: the other degree-determined sources
+    map its classes and add the counts of classes that coincide; closeness
+    maps the classes of a census of distance-sum pairs, one to one; any
+    other source scans the edges against its vertex table.  The read-only
+    census is kept in the graph's memo if it has at most m/2 classes: one
+    that does not halve the edge list costs about as much to rebuild as the
+    fold that reads it, and keeping it would hold a second edge list.
     """
-    if source in ("plain", "revan", "temperature"):
+    try:
+        memo = g._census
+    except AttributeError:
+        memo = {}
+        object.__setattr__(g, "_census", memo)
+    if source in memo:
+        return memo[source]
+    if source in ("revan", "temperature"):
         value = dict(zip(g.degrees, vertex_table(g, source)))
-        pairs = ((value[d_u], value[d_v], c) for (d_u, d_v), c in degree_census(g))
+        pairs = ((value[d_u], value[d_v], c) for (d_u, d_v), c in edge_census(g, "plain").items())
     elif source == "banhatti":
-        pairs = ((*_banhatti_pair(g.n, d_u, d_v), c) for (d_u, d_v), c in degree_census(g))
+        pairs = ((*_banhatti_pair(g.n, d_u, d_v), c)
+                 for (d_u, d_v), c in edge_census(g, "plain").items())
     elif source == "closeness":
         table = vertex_table(g, source)
         sums = [(g.n - 1) * c.denominator // c.numerator for c in table]
@@ -286,4 +290,7 @@ def edge_census(g: Graph, source: str) -> dict[tuple, int]:
     else:
         table = vertex_table(g, source)
         pairs = ((table[u], table[v], 1) for u, v in g.edges)
-    return _merge(pairs)
+    census = MappingProxyType(_merge(pairs))
+    if 2 * len(census) <= g.edge_count:
+        memo[source] = census
+    return census

@@ -20,22 +20,26 @@ from .errors import (
 
 
 class Graph:
-    """Simple undirected graph; immutable after construction."""
+    """Simple undirected graph; immutable, with its derived structures built once."""
 
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
-    # graph up by hash, and hashing the edges costs O(m) each time.
-    __slots__ = ("n", "edges", "adj", "degrees", "_hash")
+    # graph up by hash, and hashing the edges costs O(m) each time.  ``_census``
+    # is filled in by the first ``functionals.edge_census``: source -> census.
+    __slots__ = ("n", "edges", "adj", "degrees", "_hash", "_census")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidFamilyParams(f"vertex count must be nonnegative, got {n}")
-        seen = set()
+        seen = {}
         for u, v in edges:
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            seen.add((min(u, v), max(u, v)))
+            seen[(u, v) if u < v else (v, u)] = None
+        # ``seen`` keeps input order, so sorted input sorts in one linear run.  In
+        # sorted edge order, vertex x first receives its smaller neighbours in
+        # ascending order, then its larger ones: no adjacency list needs a sort.
         canonical = tuple(sorted(seen))
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:
@@ -43,8 +47,8 @@ class Graph:
             adj[v].append(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", canonical)
-        object.__setattr__(self, "adj", tuple(tuple(sorted(nbrs)) for nbrs in adj))
-        object.__setattr__(self, "degrees", tuple(len(nbrs) for nbrs in adj))
+        object.__setattr__(self, "adj", tuple(map(tuple, adj)))
+        object.__setattr__(self, "degrees", tuple(map(len, adj)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -251,6 +255,8 @@ def loads(text: str) -> Graph:
             if n > MAX_VERTICES:
                 raise GraphFileError(
                     f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+            if n < 0:
+                raise GraphFileError(f"line {lineno}: vertex count {n} is negative")
             continue
         if len(fields) != 2:
             raise GraphFileError(f"line {lineno}: expected 'u v', got {raw!r}")

@@ -262,7 +262,8 @@ def evaluate(g: Graph, index: Union[str, Descriptor], a: Optional[Rat] = None):
     """Evaluate any registered index (catalog or standalone) on ``g``.
 
     ``a`` supplies the general-transform power when the name itself does not
-    carry one.  Pure function; safe to call concurrently on a shared graph.
+    carry one.  Pure function; safe to call concurrently on a shared graph:
+    two threads filling the graph's census memo can only store equal values.
     """
     if not isinstance(index, Descriptor):
         index, a_inline = lookup(index)

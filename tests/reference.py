@@ -9,6 +9,9 @@ first), the reference for the engine's symmetric kernel table.
 edge by edge, from the definitions in ``topoidx.functionals``' docstring.
 ``closeness_per_vertex`` is closeness from one BFS per vertex, the
 reference for the multi-source BFS of ``topoidx.functionals.closeness``.
+``graph_structures`` is the ``Graph`` constructor that canonicalised edges
+through a set with ``min``/``max`` and sorted every adjacency list, the
+reference for the one-pass constructor.
 ``evaluate_descriptor`` (with ``_transformed_kernels``) and
 ``evaluate_standalone`` (with ``sqrt_sum_per_edge``) are the per-edge folds
 that preceded the edge-census fold, kept verbatim so the census fold can be
@@ -22,7 +25,14 @@ from fractions import Fraction
 from itertools import combinations, repeat
 from typing import Iterable, Optional, Union
 
-from topoidx.errors import DisconnectedGraph, InverseUndefined, UnsupportedEvaluation
+from topoidx.errors import (
+    DisconnectedGraph,
+    InvalidFamilyParams,
+    InverseUndefined,
+    SelfLoop,
+    UnsupportedEvaluation,
+    VertexOutOfRange,
+)
 from topoidx.exact import ExpPoly, Rat, RatLike, exact_sqrt, general_pow
 from topoidx.functionals import edge_endpoint_values
 from topoidx.graph import Graph, bfs_distances
@@ -224,3 +234,23 @@ def closeness_per_vertex(g: Graph) -> tuple[Fraction, ...]:
             raise DisconnectedGraph("closeness centrality needs a connected graph")
         out.append(Fraction(g.n - 1, sum(dist)))
     return tuple(out)
+
+
+def graph_structures(n: int, edges: Iterable[tuple[int, int]]) -> tuple:
+    """(n, edges, adj, degrees) of ``Graph(n, edges)``, or its exception for the first bad edge."""
+    if n < 0:
+        raise InvalidFamilyParams(f"vertex count must be nonnegative, got {n}")
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise SelfLoop(f"self-loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+        seen.add((min(u, v), max(u, v)))
+    canonical = tuple(sorted(seen))
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in canonical:
+        adj[u].append(v)
+        adj[v].append(u)
+    return (n, canonical, tuple(tuple(sorted(nbrs)) for nbrs in adj),
+            tuple(len(nbrs) for nbrs in adj))

@@ -185,6 +185,13 @@ class TestCompute:
         assert out == ""
         assert err == "error: line 2: vertex count 100000000000 exceeds the limit of 1000000\n"
 
+    @pytest.mark.parametrize("text", ["n -3\n", "n -3\n0 1\n"])
+    def test_negative_vertex_count(self, tmp_path, capsys, text):
+        path = tmp_path / "negative.g"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "compute", str(path), "--index", "RL1")
+        assert (code, out, err) == (2, "", "error: line 1: vertex count -3 is negative\n")
+
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2

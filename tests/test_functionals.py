@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topoidx import functionals
-from topoidx.errors import DisconnectedGraph, GraphTooLarge
+from topoidx.errors import DisconnectedGraph, GraphTooLarge, TopoidxError
+from topoidx.exact import render_value
 from topoidx.functionals import (
     CLOSENESS_BLOCK,
     DOMINATION_MAX,
@@ -16,7 +17,6 @@ from topoidx.functionals import (
     _multi_source_distance_sums,
     cl_degrees,
     closeness,
-    degree_census,
     domination_degrees,
     edge_census,
     kv_products,
@@ -25,6 +25,7 @@ from topoidx.functionals import (
     temperatures,
 )
 from topoidx.graph import Graph, bfs_distances, generate_family
+from topoidx.indices import all_index_names, evaluate
 
 from reference import closeness_per_vertex, domination_degrees_bruteforce, edge_scan_census
 
@@ -278,10 +279,89 @@ class TestDegreeDeterminedCensus:
         for label, g in small_families:
             self.assert_census(g, label)
 
-    def test_degree_census_cached_per_graph(self):
+
+class TestCensusMemo:
+    """Each census is built once per graph, kept read-only, and only when small."""
+
+    SOURCES = ("plain", "revan", "temperature", "banhatti", "kv", "nbd", "closeness", "cl",
+               "domination")
+
+    @pytest.fixture
+    def merges(self, monkeypatch):
+        """The number of ``_merge`` calls so far, one per census build (two for closeness)."""
+        calls = []
+        merge = functionals._merge
+        monkeypatch.setattr(functionals, "_merge", lambda pairs: calls.append(1) or merge(pairs))
+        return calls
+
+    def test_built_once_per_graph(self, merges):
+        g = generate_family("sunflower", 5)
+        assert edge_census(g, "revan") is edge_census(g, "revan")
+        assert len(merges) == 2  # the plain census, then revan mapped from it
+        first = {source: edge_census(g, source) for source in self.SOURCES}
+        assert len(merges) == 2 + 7 + 1  # closeness also merges its distance-sum pairs
+        for source in self.SOURCES:
+            assert edge_census(g, source) is first[source], source
+        assert len(merges) == 10
+        assert sorted(g._census) == sorted(self.SOURCES)
+
+    def test_view_is_read_only(self):
+        census = edge_census(generate_family("wheel", 5), "plain")
+        with pytest.raises(TypeError):
+            census[(3, 3)] = 0
+        assert census == {(3, 3): 5, (3, 5): 5}
+
+    def test_census_past_the_bound_is_not_kept(self, merges):
+        rng = random.Random(7)
+        n = rng.randint(6, 10)
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        census = edge_census(g, "kv")
+        assert 2 * len(census) > g.edge_count
+        assert "kv" not in g._census
+        again = edge_census(g, "kv")
+        assert again == census and again is not census
+        assert len(merges) == 2
+
+    def test_kept_exactly_when_at_most_half_the_edges(self):
+        rng = random.Random(1515)
+        kept = dropped = 0
+        for _ in range(40):
+            g = random_graph_with_isolated(rng)
+            for source in ("plain", "revan", "temperature", "banhatti", "kv", "nbd", "cl"):
+                small = 2 * len(edge_census(g, source)) <= g.edge_count
+                assert (source in g._census) == small, (g.edges, source)
+                kept += small
+                dropped += not small
+        assert kept and dropped
+
+    def test_equal_graphs_keep_separate_memos(self):
         g = generate_family("wheel", 7)
-        assert degree_census(g) is degree_census(Graph(g.n, g.edges))
-        assert degree_census(g) == (((3, 7), 7), ((3, 3), 7))
+        h = Graph(g.n, g.edges)
+        assert g == h
+        assert list(edge_census(g, "plain").items()) == [((3, 7), 7), ((3, 3), 7)]
+        assert edge_census(g, "plain") is not edge_census(h, "plain")
+        assert edge_census(h, "plain") == edge_census(g, "plain")
+        assert g._census is not h._census
+
+    def test_warm_graph_renders_as_a_fresh_copy(self):
+        def rendered(g):
+            out = []
+            for name in all_index_names():
+                try:
+                    out.append(render_value(evaluate(g, name, F(3, 2))))
+                except TopoidxError as exc:
+                    out.append(type(exc).__name__)
+            return out
+
+        rng = random.Random(77)
+        graphs = [generate_family("sunflower", 4), random_connected_graph(rng, 12, 0.3)]
+        for g in graphs:
+            cold = rendered(g)
+            assert len(cold) == 462
+            assert rendered(g) == cold == rendered(Graph(g.n, g.edges))
+        # Both sides of the bound: sunflower keeps every census, the random graph not all.
+        assert sorted(graphs[0]._census) == sorted(self.SOURCES)
+        assert set(self.SOURCES) - set(graphs[1]._census)
 
 
 class TestClosenessCensus:

@@ -3,7 +3,7 @@
 from itertools import permutations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoidx.errors import (
@@ -23,6 +23,8 @@ from topoidx.graph import (
     loads,
 )
 
+from reference import graph_structures
+
 from conftest import is_connected
 
 
@@ -35,6 +37,24 @@ def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
                for u, v in g.edges):
             return True
     return False
+
+
+@st.composite
+def edge_lists(draw, valid: bool):
+    """(n, edges) in random order, some edges repeated reversed.
+
+    Valid edges join vertices up to a drawn bound, past which vertices stay
+    isolated; otherwise endpoints range over -1..n and may form self-loops.
+    """
+    n = draw(st.integers(0, 14))
+    lo, hi = (0, draw(st.integers(0, max(n - 1, 0)))) if valid else (-1, n)
+    vertex = st.integers(lo, hi)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=40))
+    if valid:
+        edges = [(u, v) for u, v in edges if u != v]
+    reversed_dupes = [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=10))] \
+        if edges else []
+    return n, draw(st.permutations(edges + reversed_dupes))
 
 
 class TestBuildGraph:
@@ -54,6 +74,28 @@ class TestBuildGraph:
     def test_self_loop(self):
         with pytest.raises(SelfLoop):
             Graph(3, [(1, 1)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(valid=True))
+    def test_matches_reference_constructor(self, case):
+        n, edges = case
+        g = Graph(n, edges)
+        assert (g.n, g.edges, g.adj, g.degrees) == graph_structures(n, edges)
+        assert all(type(nbrs) is tuple for nbrs in g.adj)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_lists(valid=False))
+    def test_first_bad_edge_as_reference(self, case):
+        n, edges = case
+        try:
+            want = graph_structures(n, edges)
+        except Exception as exc:
+            with pytest.raises(type(exc)) as got:
+                Graph(n, edges)
+            assert str(got.value) == str(exc)
+        else:
+            g = Graph(n, edges)
+            assert (g.n, g.edges, g.adj, g.degrees) == want
 
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
@@ -298,3 +340,10 @@ class TestFileFormat:
             loads(f"# header\n\nn {MAX_VERTICES + 1}\n0 1\n")
         g = loads("n 1000\n0 1\n")
         assert (g.n, g.edges) == (1000, ((0, 1),))
+
+    @pytest.mark.parametrize("text", ["n -3\n", "# header\nn -3\n0 1\n"])
+    def test_negative_vertex_count(self, text):
+        with pytest.raises(GraphFileError) as err:
+            loads(text)
+        line = text.splitlines().index("n -3") + 1
+        assert str(err.value) == f"line {line}: vertex count -3 is negative"
