@@ -9,7 +9,7 @@ holds by construction.  Generators number vertices deterministically
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterable
+from collections.abc import Iterable
 
 from .errors import (
     GraphFileError,
@@ -41,6 +41,7 @@ class Graph:
         # sorted edge order, vertex x first receives its smaller neighbours in
         # ascending order, then its larger ones: no adjacency list needs a sort.
         canonical = tuple(sorted(seen))
+        del seen  # free the key tuples before the adjacency lists grow
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:
             adj[u].append(v)

@@ -26,15 +26,13 @@ with non-square radicands).
 
 from __future__ import annotations
 
-import difflib
 import math
 import operator
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
 from itertools import product, repeat, starmap
-from typing import Optional, Union
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from .exact import ExpPoly, Rat, general_pow, parse_rat, sqrt_sum
@@ -73,27 +71,27 @@ AGGREGATIONS = ("sum", "product")
 FORMS = ("value", "exponential")
 
 
-@dataclass(frozen=True)
-class Descriptor:
-    """Coordinates of one catalog index."""
+class Descriptor(namedtuple("Descriptor", "source variant transform aggregation form")):
+    """Coordinates of one catalog index: an immutable, validated record.
 
-    source: str
-    variant: int
-    transform: str
-    aggregation: str
-    form: str
+    A named tuple, so it hashes as its field tuple and compares equal to a
+    plain tuple of the same fields.
+    """
 
-    def __post_init__(self):
-        if self.source not in _SOURCE_STEM:
-            raise ValueError(f"bad source {self.source!r}")
-        if self.variant not in _KERNELS:
-            raise ValueError(f"bad variant {self.variant!r}")
-        if self.transform not in _TRANSFORMS:
-            raise ValueError(f"bad transform {self.transform!r}")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"bad aggregation {self.aggregation!r}")
-        if self.form not in FORMS:
-            raise ValueError(f"bad form {self.form!r}")
+    __slots__ = ()
+
+    def __new__(cls, source: str, variant: int, transform: str, aggregation: str, form: str):
+        if source not in _SOURCE_STEM:
+            raise ValueError(f"bad source {source!r}")
+        if variant not in _KERNELS:
+            raise ValueError(f"bad variant {variant!r}")
+        if transform not in _TRANSFORMS:
+            raise ValueError(f"bad transform {transform!r}")
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"bad aggregation {aggregation!r}")
+        if form not in FORMS:
+            raise ValueError(f"bad form {form!r}")
+        return super().__new__(cls, source, variant, transform, aggregation, form)
 
     @property
     def name(self) -> str:
@@ -139,7 +137,7 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     return total if form == "value" else ExpPoly.monomial(total)
 
 
-def evaluate_descriptor(g: Graph, d: Descriptor, a: Optional[Rat] = None):
+def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
     """Fold the transformed kernel over the edge census of ``g``.
 
     Returns an exact Fraction (value form), an ExpPoly (exponential form), or
@@ -218,7 +216,7 @@ _SPECIAL_ALIASES = {
 }
 
 # Upper-cased name -> Descriptor (in canonical order), standalone name or alias.
-_NAMES: dict[str, Union[Descriptor, str]] = {
+_NAMES: dict[str, Descriptor | str] = {
     d.name.upper(): d
     for d in starmap(Descriptor, product(SOURCES, _KERNELS, TRANSFORMS, AGGREGATIONS, FORMS))
 }
@@ -237,7 +235,7 @@ def all_index_names() -> list[str]:
     return registry_names() + list(SPECIAL_NAMES)
 
 
-def lookup(name: str) -> tuple[Union[Descriptor, str], Optional[Rat]]:
+def lookup(name: str) -> tuple[Descriptor | str, Rat | None]:
     """Resolve a registry name (case-insensitive, underscores ignored).
 
     Returns (Descriptor, a) for catalog entries, where ``a`` is the general
@@ -245,20 +243,22 @@ def lookup(name: str) -> tuple[Union[Descriptor, str], Optional[Rat]]:
     (special_name, a) for the standalone indices, which ignore ``a``.
     """
     cleaned = re.sub(r"[\s_]+", "", name).upper()
-    a_param: Optional[Rat] = None
+    a_param: Rat | None = None
     with_param = _PARAM_RE.match(cleaned)
     if with_param:
         cleaned = with_param.group("base")
         a_param = parse_rat(with_param.group("a"))
     resolved = _NAMES.get(cleaned)
     if resolved is None:
+        import difflib  # error path only: keeps difflib off the import path
+
         candidates = [n.upper() for n in all_index_names()]
         close = difflib.get_close_matches(cleaned, candidates, n=1)
         raise UnknownIndexName(name, suggestion=close[0] if close else None)
     return resolved, a_param
 
 
-def evaluate(g: Graph, index: Union[str, Descriptor], a: Optional[Rat] = None):
+def evaluate(g: Graph, index: str | Descriptor, a: Rat | None = None):
     """Evaluate any registered index (catalog or standalone) on ``g``.
 
     ``a`` supplies the general-transform power when the name itself does not

@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import re
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from fractions import Fraction
-from importlib import resources
-from typing import Iterable, Optional
 
 from .errors import BaselineFileError, GraphTooLarge, ParamsOutOfStatedRange, TopoidxError
 from .exact import ExpPoly, render_value
@@ -112,15 +112,14 @@ def _display_value(entry: "OracleEntry", names: dict):
         raise ValueError(f"{entry.id}: {exc.args[0]} in display {entry.formula_text!r}") from None
 
 
-@dataclass(frozen=True)
-class OracleEntry:
-    """One published closed form, addressed as ``<index>/<family>``."""
+class OracleEntry(namedtuple("OracleEntry", "id family index formula_text range_text")):
+    """One published closed form, addressed as ``<index>/<family>``.
 
-    id: str
-    family: str
-    index: str
-    formula_text: str
-    range_text: str
+    An immutable record; as a named tuple it hashes as its field tuple.  The
+    ``index`` field is the index name and hides ``tuple.index``.
+    """
+
+    __slots__ = ()
 
     def eval(self, **params):
         if not _RANGES[self.range_text](**params):
@@ -132,13 +131,11 @@ class OracleEntry:
         return Fraction(_display_value(self, params))
 
 
-@dataclass(frozen=True)
-class OracleResult:
-    oracle_id: str
-    params: tuple
-    oracle_value: str
-    direct_value: str
-    verdict: str
+class OracleResult(namedtuple("OracleResult",
+                              "oracle_id params oracle_value direct_value verdict")):
+    """One (oracle, parameter point) verdict; an immutable record."""
+
+    __slots__ = ()
 
     @property
     def params_label(self) -> str:
@@ -516,10 +513,10 @@ def _family_points(family: str, lo: int, hi: int) -> Iterable[tuple[dict, tuple]
 
 
 def run_verification(
-    families: Optional[Iterable[str]] = None,
+    families: Iterable[str] | None = None,
     lo: int = 3,
     hi: int = 10,
-    ids: Optional[Iterable[str]] = None,
+    ids: Iterable[str] | None = None,
 ) -> list[OracleResult]:
     """Evaluate every selected oracle against direct computation.
 
@@ -612,8 +609,10 @@ def load_baseline(path=None) -> dict:
             raise BaselineFileError(f"{path}: expected an object of oracle id -> "
                                     '{"default": verdict, "exceptions": {...}}')
         return baseline
-    text = resources.files("topoidx").joinpath("baseline.json").read_text(encoding="utf-8")
-    return json.loads(text)
+    # Beside this module, in a checkout and in an installed package alike.
+    shipped = os.path.join(os.path.dirname(__file__), "baseline.json")
+    with open(shipped, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 def compare_to_baseline(results: Iterable[OracleResult], baseline: dict):

@@ -1,9 +1,14 @@
 """Command-line interface behavior."""
 
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
 
+import topoidx
 from topoidx import cli
 from topoidx.oracles import (
     _ENTRIES,
@@ -54,6 +59,12 @@ class TestCompute:
     def w3_file(self, tmp_path, capsys):
         path = tmp_path / "w3.g"
         run_cli(capsys, "gen", "wheel", "3", "-o", str(path))
+        return str(path)
+
+    @pytest.fixture
+    def w4_file(self, tmp_path, capsys):
+        path = tmp_path / "w4.g"
+        run_cli(capsys, "gen", "wheel", "4", "-o", str(path))
         return str(path)
 
     @pytest.fixture
@@ -152,6 +163,32 @@ class TestCompute:
         rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
         assert rows["GRLKV1(a=5/2)"] == "ERROR:UnsupportedEvaluation"
         assert rows["RL1"] == "3559140/1"
+
+    def test_huge_general_power_refused_quickly(self, w4_file, capsys):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "compute", w4_file, "--index",
+                               "GRL1(a=1000000000),MGRL1(a=-1000000000),GRL1exp(a=1000000000),RL1",
+                               "--format", "csv")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
+        assert rows == {
+            "GRL1(a=1000000000)": "ERROR:UnsupportedEvaluation",
+            "GRL1exp(a=1000000000)": "ERROR:UnsupportedEvaluation",
+            "MGRL1(a=-1000000000)": "ERROR:UnsupportedEvaluation",
+            "RL1": "256/1",
+        }
+
+    def test_small_general_powers_unchanged(self, w4_file, capsys):
+        code, out, _ = run_cli(capsys, "compute", w4_file, "--index",
+                               "GRL1(a=3),GRL1(a=-1),GRL1(a=1/2),GRL4exp(a=5)", "--format", "csv")
+        assert code == 0
+        assert [line.split(",")[1:3] for line in out.splitlines()[1:]] == [
+            ["GRL1(a=-1)", "256/999"],
+            ["GRL1(a=1/2)", "~45.1156598120194"],
+            ["GRL1(a=3)", "281344/1"],
+            ["GRL4exp(a=5)", "4*x^248832 + 4*x^0"],
+        ]
 
     def test_float_column_past_float_range(self, k40_file, capsys):
         code, out, _ = run_cli(capsys, "compute", k40_file,
@@ -344,3 +381,17 @@ class TestListings:
         code, out, err = run_cli(capsys, "functionals", str(path), "--source", "domination")
         assert (code, out) == (2, "")
         assert err == "error: 25 vertices exceeds domination solver bound 24\n"
+
+
+class TestStartup:
+    def test_import_loads_no_unused_machinery(self):
+        # -S keeps site from preloading anything, so the import alone shows.
+        code = ("import sys; before = set(sys.modules); import topoidx.cli; "
+                "print(' '.join(sorted(set(sys.modules) - before)))")
+        src = os.path.dirname(os.path.dirname(topoidx.__file__))
+        added = subprocess.run([sys.executable, "-S", "-c", code], check=True, text=True,
+                               capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+                               ).stdout.split()
+        assert "topoidx.cli" in added
+        unused = {"dataclasses", "inspect", "typing", "difflib", "importlib.resources"}
+        assert sorted(unused.intersection(added)) == []

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from topoidx import exact
 from topoidx.errors import DivisionByZero, InvalidRational, UnsupportedEvaluation
 from topoidx.exact import (
     ExpPoly,
@@ -85,6 +86,31 @@ class TestPowers:
         for base, a in ((10**200, F(5, 2)), (10**400, F(1, 2))):
             with pytest.raises(UnsupportedEvaluation, match=str(a)):
                 general_pow(base, a)
+
+    @pytest.mark.parametrize("base", [F(37), F(-37), F(1, 37), F(-3, 2)])
+    @pytest.mark.parametrize("a", [10**9, -10**9, 10**4000])
+    def test_general_power_past_cap_refused(self, base, a):
+        with pytest.raises(UnsupportedEvaluation, match=f"limit of {exact.POWER_BITS_MAX} bits"):
+            general_pow(base, a)
+
+    def test_general_power_cap_boundary(self, monkeypatch):
+        # Base 2 has exactly one bit per unit of the exponent; 3 has floor(log2 3) = 1.
+        monkeypatch.setattr(exact, "POWER_BITS_MAX", 100)
+        assert general_pow(2, 100) == 2**100
+        assert general_pow(F(1, 3), -100) == 3**100
+        for base, a in ((2, 101), (F(1, 2), -101), (F(-5, 3), 51)):
+            with pytest.raises(UnsupportedEvaluation):
+                general_pow(base, a)
+
+    @pytest.mark.parametrize("a", [0, 1, -1])
+    def test_general_power_of_unit_exponent_never_refused(self, monkeypatch, a):
+        monkeypatch.setattr(exact, "POWER_BITS_MAX", 1)
+        big = F(2**200 + 1, 3)
+        assert general_pow(big, a) == big**a
+
+    @pytest.mark.parametrize("base", [0, 1, -1])
+    def test_general_power_of_unit_base_never_refused(self, base):
+        assert general_pow(base, 10**9) == F(base) ** 2
 
 
 class TestSqrt:
