@@ -60,23 +60,36 @@ def rat_pow(base: RatLike, k: int) -> Rat:
     return Fraction(base) ** k
 
 
+def refuse_past_cap(bits: int) -> None:
+    """Raise UnsupportedEvaluation if an exact result of ``bits`` bits is past POWER_BITS_MAX."""
+    if bits > POWER_BITS_MAX:
+        raise UnsupportedEvaluation(f"power would pass the limit of {POWER_BITS_MAX} bits")
+
+
+def check_power(base: RatLike, k: int) -> None:
+    """Refuse ``base ** k`` before it is built if it is certain to pass POWER_BITS_MAX bits.
+
+    The estimate, |k| times the floor of log2 of the base's larger part
+    (numerator or denominator), never exceeds the true size; a power of 0, 1
+    or -1 is never refused.
+    """
+    if abs(k) > 1:
+        larger = max(abs(base.numerator), base.denominator)
+        refuse_past_cap(abs(k) * (larger.bit_length() - 1))
+
+
 def general_pow(base: RatLike, a: RatLike) -> Rat | float:
     """``base ** a`` for a rational exponent.
 
     Integral ``a`` stays exact; a non-integer exponent leaves the rationals,
     so the result is a float (documented 1e-9 relative tolerance) and the
-    base must be positive.  An integral power whose result would have more
-    than POWER_BITS_MAX bits raises UnsupportedEvaluation before it is built;
-    the estimate, |a| times the floor of log2 of the base's larger part, never
-    exceeds the true size, and a power of 0, 1 or -1 is never refused.
+    base must be positive.  An integral power is refused by ``check_power``
+    before it is built.  An int power of a reduced Fraction is reduced
+    already, so ``Fraction.__pow__`` builds it without a ``gcd``.
     """
     a = Fraction(a)
     if a.denominator == 1:
-        base = Fraction(base)
-        larger = max(abs(base.numerator), base.denominator)
-        bits = abs(a.numerator) * (larger.bit_length() - 1)
-        if abs(a.numerator) > 1 and bits > POWER_BITS_MAX:
-            raise UnsupportedEvaluation(f"power would pass the limit of {POWER_BITS_MAX} bits")
+        check_power(base, a.numerator)
         return rat_pow(base, a.numerator)
     if base < 0:
         raise UnsupportedEvaluation(f"negative base {base} with non-integer exponent {a}")

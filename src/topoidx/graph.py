@@ -25,7 +25,11 @@ class Graph:
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
     # graph up by hash, and hashing the edges costs O(m) each time.  ``_census``
     # is filled in by the first ``functionals.edge_census``: source -> census.
-    __slots__ = ("n", "edges", "adj", "degrees", "_hash", "_census")
+    # ``_products`` is filled in by the first value-form product in
+    # ``indices.evaluate_descriptor``: (source, variant) -> the exact product
+    # of the plain kernel, whose powers give the hyper, inverse and general
+    # products.
+    __slots__ = ("n", "edges", "adj", "degrees", "_hash", "_census", "_products")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:

@@ -35,7 +35,7 @@ from functools import reduce
 from itertools import product, repeat, starmap
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
-from .exact import ExpPoly, Rat, general_pow, parse_rat, sqrt_sum
+from .exact import ExpPoly, Rat, check_power, general_pow, parse_rat, refuse_past_cap, sqrt_sum
 from .functionals import edge_census, edge_endpoint_values
 from .graph import Graph
 
@@ -59,12 +59,13 @@ _KERNELS = {
     4: lambda a, b: abs(a - b) * a * b,
 }
 
-# transform -> (name prefix, per-class term from the kernel k and the general power a).
+# transform -> (name prefix, per-class term from the kernel k and the general
+# power a, the int e with term k**e, or None where it depends on a).
 _TRANSFORMS = {
-    "identity": ("", lambda k, a: k),
-    "hyper": ("H", lambda k, a: k * k),
-    "inverse": ("I", lambda k, a: Fraction(1) / Fraction(k)),
-    "general": ("G", lambda k, a: general_pow(Fraction(k), a)),
+    "identity": ("", lambda k, a: k, 1),
+    "hyper": ("H", lambda k, a: k * k, 2),
+    "inverse": ("I", lambda k, a: Fraction(1) / Fraction(k), -1),
+    "general": ("G", lambda k, a: general_pow(Fraction(k), a), None),
 }
 TRANSFORMS = tuple(_TRANSFORMS)
 AGGREGATIONS = ("sum", "product")
@@ -118,7 +119,10 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     Each class (pair of endpoint values, count c) with term t contributes
     c*t to a sum, t^c to a product and c*x^t to a polynomial.  An exact
     product multiplies in balanced trees, so each step multiplies numbers of
-    like size rather than the whole running product by one more power.
+    like size rather than the whole running product by one more power; it is
+    0 at once if a term is, and refused (UnsupportedEvaluation) before the
+    trees are built if either is certain to pass ``exact.POWER_BITS_MAX``
+    bits.  Their quotient is reduced by one ``gcd``.
     """
     terms = ((term(*pair), c) for pair, c in census.items())
     if form == "exponential" and aggregation == "sum":
@@ -126,6 +130,10 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     if form == "value" and aggregation == "product":
         terms = list(terms)
         if not any(isinstance(t, float) for t, _ in terms):
+            if not all(t for t, _ in terms):
+                return Fraction(0)
+            refuse_past_cap(max(sum(c * (abs(t.numerator).bit_length() - 1) for t, c in terms),
+                                sum(c * (t.denominator.bit_length() - 1) for t, c in terms)))
             return Fraction(_tree(operator.mul, [t.numerator**c for t, c in terms], 1),
                             _tree(operator.mul, [t.denominator**c for t, c in terms], 1))
         # A float power raises OverflowError where repeated products reach inf.
@@ -137,11 +145,38 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     return total if form == "value" else ExpPoly.monomial(total)
 
 
+def _kernel_product(g: Graph, census, d: Descriptor) -> Fraction:
+    """The exact product P of ``d``'s plain kernel over ``census``, once per graph.
+
+    ``census`` is ``g``'s census of ``d.source``.  P is kept in the graph's
+    ``_products`` memo under (source, variant), filled on first use as
+    ``edge_census`` fills ``_census``; a refusal is not kept.
+    """
+    try:
+        memo = g._products
+    except AttributeError:
+        memo = {}
+        object.__setattr__(g, "_products", memo)
+    key = (d.source, d.variant)
+    if key not in memo:
+        memo[key] = _fold(census, _KERNELS[d.variant], "product", "value")
+    return memo[key]
+
+
 def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
     """Fold the transformed kernel over the edge census of ``g``.
 
     Returns an exact Fraction (value form), an ExpPoly (exponential form), or
     a float when a non-integer general power forces one.
+
+    A value-form product whose per-class term is k**e for an int e (identity,
+    hyper, inverse, and general with an integral a) is P**e, since the
+    product of (k**e)**c is (product of k**c)**e.  P is built once per graph
+    and (source, variant) by ``_kernel_product``, so the four transforms
+    share one pair of product trees and one ``gcd``: an int power of a
+    reduced Fraction is reduced already.  Before P**e is built, each class's
+    k**e and then P**e itself go through ``exact.check_power``, so a power
+    the per-class fold would refuse is refused here too, even where P is 0.
     """
     if d.transform == "general":
         if a is None:
@@ -158,7 +193,16 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
                 (u, v) for u, v, val_u, val_v in edge_endpoint_values(g, d.source)
                 if kernel(val_u, val_v) == 0
             ))
-    transform = _TRANSFORMS[d.transform][1]
+    _, transform, exponent = _TRANSFORMS[d.transform]
+    if d.aggregation == "product" and d.form == "value":
+        if d.transform == "general" and a.denominator == 1:
+            exponent = a.numerator
+            for pair in census:
+                check_power(kernel(*pair), exponent)
+        if exponent is not None:
+            base = _kernel_product(g, census, d)
+            check_power(base, exponent)
+            return base**exponent
     return _fold(census, lambda x, y: transform(kernel(x, y), a), d.aggregation, d.form)
 
 
@@ -263,7 +307,8 @@ def evaluate(g: Graph, index: str | Descriptor, a: Rat | None = None):
 
     ``a`` supplies the general-transform power when the name itself does not
     carry one.  Pure function; safe to call concurrently on a shared graph:
-    two threads filling the graph's census memo can only store equal values.
+    two threads filling the graph's census or product memo can only store
+    equal values.
     """
     if not isinstance(index, Descriptor):
         index, a_inline = lookup(index)

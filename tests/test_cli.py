@@ -179,6 +179,26 @@ class TestCompute:
             "RL1": "256/1",
         }
 
+    def test_product_powers_refused_as_the_per_class_fold_refuses(self, w4_file, capsys):
+        # wheel(4): the rim-rim kernel 4 is 0, so the MRL4 product is 0, but the
+        # hub-rim class's power 12**(10**9) is refused, as it was per class.
+        # MGRL1's per-class powers 37**(10**7) and 27**(10**7) stay under the
+        # cap; their product does not.
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, "compute", w4_file, "--index",
+                               "MGRL4(a=1000000000),MGRL1(a=10000000),MHRL1,MIRL1,MRL1",
+                               "--format", "csv")
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        rows = dict(line.split(",")[1:3] for line in out.splitlines()[1:])
+        assert rows == {
+            "MGRL4(a=1000000000)": "ERROR:UnsupportedEvaluation",
+            "MGRL1(a=10000000)": "ERROR:UnsupportedEvaluation",
+            "MHRL1": "992027944069944027992001/1",
+            "MIRL1": "1/996005996001",
+            "MRL1": "996005996001/1",
+        }
+
     def test_small_general_powers_unchanged(self, w4_file, capsys):
         code, out, _ = run_cli(capsys, "compute", w4_file, "--index",
                                "GRL1(a=3),GRL1(a=-1),GRL1(a=1/2),GRL4exp(a=5)", "--format", "csv")

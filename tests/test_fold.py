@@ -10,19 +10,26 @@ over the neighbourhood-local sources also fold over a disjoint union.
 """
 
 import math
+import sys
+from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topoidx.errors import InverseUndefined, TopoidxError
+from topoidx import exact
+from topoidx.errors import InverseUndefined, TopoidxError, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
+from topoidx.functionals import edge_census
 from topoidx.graph import Graph, generate_family
 from topoidx.indices import (
     _KERNELS,
     _fold,
+    SOURCES,
     SPECIAL_NAMES,
+    Descriptor,
     all_index_names,
     evaluate,
     evaluate_descriptor,
@@ -239,3 +246,86 @@ def test_zero_and_empty_products_pinned():
     for name in ("MRL1", "MIRL1"):
         value = evaluate(Graph(3, []), name)
         assert type(value) is F and value == 1, name
+
+
+def test_product_trees_past_cap_refused(monkeypatch):
+    # 2**c has c + 1 bits: trees of 100 bits are built, 101 are refused.
+    monkeypatch.setattr(exact, "POWER_BITS_MAX", 100)
+    assert folded([(2, 60), (F(1, 4), 20)], "product") == F(2**60, 2**40)
+    for terms in ([(2, 60), (4, 21)], [(F(1, 2), 101)], [(F(3, 4), 51)]):
+        with pytest.raises(UnsupportedEvaluation):
+            folded(terms, "product")
+    # A zero term makes the product 0 before any tree is sized.
+    assert folded([(0, 1), (2, 10**6)], "product") == 0
+
+
+# --- value-form products as powers of one product -----------------------------
+#
+# For every (source, variant), the identity, hyper, inverse and integral
+# general products are P**e with P the identity product: the product of
+# (k**e)**c over the classes is (the product of k**c)**e.
+
+
+def product_siblings(source, variant):
+    """(descriptor, a, e) of each value-form product whose per-class term is k**e."""
+    def desc(transform):
+        return Descriptor(source, variant, transform, "product", "value")
+    return ([(desc("identity"), None, 1), (desc("hyper"), None, 2), (desc("inverse"), None, -1)]
+            + [(desc("general"), e, e) for e in range(-3, 4)])
+
+
+@contextmanager
+def gcd_operands():
+    """The operands of every ``math.gcd`` call made inside the block."""
+    calls = []
+    gcd = math.gcd
+    math.gcd = lambda *args: calls.append(args) or gcd(*args)
+    try:
+        yield calls
+    finally:
+        math.gcd = gcd
+
+
+def multi_digit(calls):
+    """The gcd calls with an operand of more than one CPython int digit."""
+    return [args for args in calls
+            if max(abs(x).bit_length() for x in args) > sys.int_info.bits_per_digit]
+
+
+@settings(max_examples=50, deadline=None)
+@given(graphs(max_n=12))
+def test_product_siblings_are_powers_of_the_identity_product(g):
+    warm = Graph(g.n, g.edges)
+    for source in SOURCES:
+        for variant in _KERNELS:
+            kernels = [(reference.kernel(variant, *pair), c)
+                       for pair, c in edge_census(g, source).items()]
+            zero = any(k == 0 for k, _ in kernels)
+            cases = [case for case in product_siblings(source, variant)
+                     if not (zero and case[2] < 0)]
+            # Warm: each sibling before the identity product, so they fill the memo.
+            warm_values = {(d, a): evaluate_descriptor(warm, d, a) for d, a, _ in reversed(cases)}
+            identity = evaluate_descriptor(Graph(g.n, g.edges), *cases[0][:2])
+            for d, a, e in cases:
+                context = (d.name, a, g.edges)
+                cold = evaluate_descriptor(Graph(g.n, g.edges), d, a)
+                assert type(cold) is F and cold == warm_values[d, a], context
+                assert cold == identity**e, context
+                assert cold == reference.product_fold([(F(k) ** e, c) for k, c in kernels]), context
+            # With the identity product kept, no sibling reduces a big Fraction.
+            with gcd_operands() as calls:
+                for d, a, _ in cases[1:]:
+                    evaluate_descriptor(warm, d, a)
+            assert not multi_digit(calls), (source, variant, multi_digit(calls)[:3])
+
+
+def test_gcd_recorder_sees_the_identity_product_reduced():
+    """The recorder above would catch a sibling reduced as the identity product is."""
+    g = generate_family("wheel", 4)
+    with gcd_operands() as calls:
+        assert evaluate(g, "MRL1") == 996005996001
+    assert multi_digit(calls) == [(996005996001, 1)]
+    with gcd_operands() as calls:
+        siblings = [evaluate(g, "MHRL1"), evaluate(g, "MGRL1", 3), evaluate(g, "MIRL1")]
+    assert not multi_digit(calls)
+    assert siblings == [996005996001**2, 996005996001**3, F(1, 996005996001)]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from topoidx import functionals
+from topoidx import functionals, indices
 from topoidx.errors import DisconnectedGraph, GraphTooLarge, TopoidxError
 from topoidx.exact import render_value
 from topoidx.functionals import (
@@ -25,7 +25,7 @@ from topoidx.functionals import (
     temperatures,
 )
 from topoidx.graph import Graph, bfs_distances, generate_family
-from topoidx.indices import all_index_names, evaluate
+from topoidx.indices import SOURCES, all_index_names, evaluate
 
 from reference import closeness_per_vertex, domination_degrees_bruteforce, edge_scan_census
 
@@ -344,25 +344,58 @@ class TestCensusMemo:
         assert g._census is not h._census
 
     def test_warm_graph_renders_as_a_fresh_copy(self):
-        def rendered(g):
-            out = []
-            for name in all_index_names():
+        def rendered(g, names):
+            out = {}
+            for name in names:
                 try:
-                    out.append(render_value(evaluate(g, name, F(3, 2))))
+                    out[name] = render_value(evaluate(g, name, F(3, 2)))
                 except TopoidxError as exc:
-                    out.append(type(exc).__name__)
+                    out[name] = type(exc).__name__
             return out
 
+        names = all_index_names()
         rng = random.Random(77)
         graphs = [generate_family("sunflower", 4), random_connected_graph(rng, 12, 0.3)]
         for g in graphs:
-            cold = rendered(g)
+            cold = rendered(g, names)
             assert len(cold) == 462
-            assert rendered(g) == cold == rendered(Graph(g.n, g.edges))
+            assert rendered(g, names) == cold == rendered(Graph(g.n, g.edges), names)
+            # Reversed, each M...exp and hyper or inverse product comes before
+            # its identity product, so a sibling fills the product memo.
+            h = Graph(g.n, g.edges)
+            assert rendered(h, names[::-1]) == cold == rendered(h, names)
         # Both sides of the bound: sunflower keeps every census, the random graph not all.
         assert sorted(graphs[0]._census) == sorted(self.SOURCES)
         assert set(self.SOURCES) - set(graphs[1]._census)
 
+
+    def test_product_built_once_per_source_and_variant(self, monkeypatch):
+        builds = []
+        fold = indices._fold
+
+        def counted(census, term, aggregation, form):
+            builds.append((aggregation, form) == ("product", "value"))
+            return fold(census, term, aggregation, form)
+
+        def values(g):
+            out = {}
+            for name in all_index_names():
+                try:
+                    out[name] = evaluate(g, name, 2)
+                except TopoidxError as exc:
+                    out[name] = type(exc)
+            return out
+
+        monkeypatch.setattr(indices, "_fold", counted)
+        g = generate_family("sunflower", 4)
+        first = values(g)
+        keys = {(source, variant) for source in SOURCES for variant in (1, 2, 3, 4)}
+        # With an integral general power, all four transforms are powers of one product.
+        assert sum(builds) == len(keys) == 28
+        assert set(g._products) == keys
+        assert sorted(g._census) == sorted(self.SOURCES)
+        assert values(g) == first
+        assert sum(builds) == 28
 
 class TestClosenessCensus:
     """The census keyed on distance sums equals an edge scan of the closeness table.
