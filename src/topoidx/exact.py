@@ -36,6 +36,22 @@ RatLike = Rat | int
 POWER_BITS_MAX = 1 << 26
 
 
+# from_coprime(num, den) is Fraction(num, den) for coprime ints num and
+# den > 0, built without the gcd that Fraction(num, den) spends reducing
+# them.  It is a private entry point of ``fractions``; on a Python that has
+# neither known form of it, it is plain Fraction, which is slower but right.
+if hasattr(Fraction, "_from_coprime_ints"):  # CPython 3.12+
+    from_coprime = Fraction._from_coprime_ints
+else:
+    try:
+        Fraction(1, 1, _normalize=False)  # CPython 3.10 and 3.11
+
+        def from_coprime(num: int, den: int) -> Rat:
+            return Fraction(num, den, _normalize=False)
+    except TypeError:
+        from_coprime = Fraction
+
+
 def rat(num, den=1) -> Rat:
     """Build a reduced rational, raising DivisionByZero on a zero denominator."""
     try:

@@ -40,15 +40,24 @@ def plain_degrees(g: Graph) -> tuple[int, ...]:
     return g.degrees
 
 
+def _revan_of(g: Graph):
+    """The Revan value of a vertex of degree d on ``g``, as a function of d."""
+    hi, lo = max(g.degrees, default=0), min(g.degrees, default=0)
+    return lambda d: hi + lo - d
+
+
+def _temperature_of(g: Graph):
+    """The temperature of a vertex of degree d on ``g``, as a function of d."""
+    n = g.n
+    return lambda d: Fraction(d, n - d)
+
+
 def revan_degrees(g: Graph) -> tuple[int, ...]:
-    if g.n == 0:
-        return ()
-    hi, lo = max(g.degrees), min(g.degrees)
-    return tuple(hi + lo - d for d in g.degrees)
+    return tuple(map(_revan_of(g), g.degrees))
 
 
 def temperatures(g: Graph) -> tuple[Fraction, ...]:
-    return tuple(Fraction(d, g.n - d) for d in g.degrees)
+    return tuple(map(_temperature_of(g), g.degrees))
 
 
 def kv_products(g: Graph) -> tuple[int, ...]:
@@ -246,6 +255,11 @@ def edge_endpoint_values(g: Graph, source: str):
             yield u, v, table[u], table[v]
 
 
+# Degree-determined vertex source -> its value as a function of the degree,
+# which both its vertex table and its census map.
+_DEGREE_VALUE = {"revan": _revan_of, "temperature": _temperature_of}
+
+
 def _merge(weighted_pairs) -> dict[tuple, int]:
     """Add counts by sorted pair, keeping the order in which pairs first appear."""
     census: dict[tuple, int] = {}
@@ -261,12 +275,13 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
     Every index is a symmetric form of the endpoint values, so a fold over
     this census.  Classes keep the order of their first edge.  The plain
     census is the degree-pair census: the other degree-determined sources
-    map its classes and add the counts of classes that coincide; closeness
-    maps the classes of a census of distance-sum pairs, one to one; any
-    other source scans the edges against its vertex table.  The read-only
-    census is kept in the graph's memo if it has at most m/2 classes: one
-    that does not halve the edge list costs about as much to rebuild as the
-    fold that reads it, and keeping it would hold a second edge list.
+    map its classes, valuing each distinct degree once, and add the counts
+    of classes that coincide; closeness maps the classes of a census of
+    distance-sum pairs, one to one; any other source scans the edges against
+    its vertex table.  The read-only census is kept in the graph's memo if it
+    has at most m/2 classes: one that does not halve the edge list costs
+    about as much to rebuild as the fold that reads it, and keeping it would
+    hold a second edge list.
     """
     try:
         memo = g._census
@@ -275,8 +290,9 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
         object.__setattr__(g, "_census", memo)
     if source in memo:
         return memo[source]
-    if source in ("revan", "temperature"):
-        value = dict(zip(g.degrees, vertex_table(g, source)))
+    if source in _DEGREE_VALUE:
+        value_of = _DEGREE_VALUE[source](g)
+        value = {d: value_of(d) for d in set(g.degrees)}
         pairs = ((value[d_u], value[d_v], c) for (d_u, d_v), c in edge_census(g, "plain").items())
     elif source == "banhatti":
         pairs = ((*_banhatti_pair(g.n, d_u, d_v), c)

@@ -35,7 +35,9 @@ from functools import reduce
 from itertools import product, repeat, starmap
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
-from .exact import ExpPoly, Rat, check_power, general_pow, parse_rat, refuse_past_cap, sqrt_sum
+from .exact import (
+    ExpPoly, Rat, check_power, from_coprime, general_pow, parse_rat, refuse_past_cap, sqrt_sum,
+)
 from .functionals import edge_census, edge_endpoint_values
 from .graph import Graph
 
@@ -113,44 +115,144 @@ def _tree(op, items: list, identity):
     return items[0] if items else identity
 
 
+# A product whose numerators and denominators share factors is reduced either
+# by refining its distinct values into a coprime base, about (values)**2
+# small gcds, or by one gcd of its two sides, about (bits)**2.  Refining is
+# the cheaper when the product's bit estimate is at least this many times its
+# number of distinct values: the two took equal time at 380 to 600 bits per
+# value on temperature and Banhatti products of random graphs (CHANGES.md).
+REFINE_BITS_PER_VALUE = 512
+
+# Below this estimate of a product's bits, merging values and squaring over
+# the exponents' bits cost more Python steps than they save, and the tree of
+# the powers t**c reduced by one gcd is faster: the two took equal time at
+# about 8,000 bits on the censuses of family and random graphs.
+MERGED_PRODUCT_MIN_BITS = 8192
+
+
+def _coprime_base(exponents: dict[int, int]) -> dict[int, int]:
+    """Rewrite the product of b**e over ``exponents`` over pairwise coprime bases.
+
+    A value sharing a factor g with a base b is split as
+    x**e * b**f = g**(e+f) * (x/g)**e * (b/g)**f until every base is
+    coprime to the others.  Each split divides the product of the values
+    pending and kept by g > 1, so the loop ends.  Bases of exponent 0 drop out.
+    """
+    base: dict[int, int] = {}
+    pending = list(exponents.items())
+    while pending:
+        x, e = pending.pop()
+        if x == 1 or e == 0:
+            continue
+        for b in base:
+            g = math.gcd(x, b)
+            if g > 1:
+                f = base.pop(b)
+                pending += [(g, e + f), (x // g, e), (b // g, f)]
+                break
+        else:
+            base[x] = e
+    return base
+
+
+def _power_product(powers: list[tuple[int, int]]) -> int:
+    """The product of b**e over ``powers``, by the bits of the exponents.
+
+    From the top bit j down, R <- R*R * Q_j, where Q_j is the tree product of
+    the bases whose exponent has bit j set (Brent and Zimmermann, *Modern
+    Computer Arithmetic*, 1.7 and 2.6).  With every exponent 1 this is one tree.
+    """
+    result = 1
+    for j in reversed(range(max((e for _, e in powers), default=0).bit_length())):
+        result = result * result * _tree(operator.mul, [b for b, e in powers if e >> j & 1], 1)
+    return result
+
+
+def _sides(exponents: dict[int, int]) -> tuple[list, list]:
+    """The (base, exponent) pairs of the positive exponents, and of the negated negative ones."""
+    return ([(b, e) for b, e in exponents.items() if e > 0],
+            [(b, -e) for b, e in exponents.items() if e < 0])
+
+
+def _exact_product(terms: list) -> Fraction:
+    """The product of t**c over the (int or Fraction t, count c) pairs ``terms``.
+
+    0 at once if a term is.  Refused (UnsupportedEvaluation) before anything
+    is multiplied if the numerators' or the denominators' bits, estimated from
+    the unreduced terms, are certain to pass ``exact.POWER_BITS_MAX``.  Under
+    ``MERGED_PRODUCT_MIN_BITS`` of that estimate, the tree of the numerators'
+    powers over the tree of the denominators', reduced by one ``gcd``.
+
+    Otherwise equal values merge into one signed exponent, +c for a numerator
+    and -c for a denominator; the product is negative when the counts of the
+    negative terms add up to an odd number.
+    Each side is built by ``_power_product``.  Where both sides have bases,
+    they are refined into a coprime base first if that is the cheaper
+    reduction (``REFINE_BITS_PER_VALUE``), or else reduced by one ``gcd``.
+    Coprime sides, and a side of 1, make the Fraction without a ``gcd``.
+    """
+    if not all(t for t, _ in terms):
+        return Fraction(0)
+    bits = max(sum(c * (abs(t.numerator).bit_length() - 1) for t, c in terms),
+               sum(c * (t.denominator.bit_length() - 1) for t, c in terms))
+    refuse_past_cap(bits)
+    if bits < MERGED_PRODUCT_MIN_BITS:
+        return Fraction(_tree(operator.mul, [t.numerator**c for t, c in terms], 1),
+                        _tree(operator.mul, [t.denominator**c for t, c in terms], 1))
+    exponents: dict[int, int] = {}
+    odd = 0
+    for t, c in terms:
+        num = t.numerator
+        if num < 0:
+            num, odd = -num, odd ^ c & 1
+        exponents[num] = exponents.get(num, 0) + c
+        exponents[t.denominator] = exponents.get(t.denominator, 0) - c
+    exponents.pop(1, None)
+    sides = _sides(exponents)
+    mixed = all(sides)
+    if mixed and len(exponents) * REFINE_BITS_PER_VALUE <= bits:
+        sides, mixed = _sides(_coprime_base(exponents)), False
+    num, den = map(_power_product, sides)
+    if odd:
+        num = -num
+    return Fraction(num, den) if mixed else from_coprime(num, den)
+
+
 def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     """Fold a per-class term over an edge census; every index is one such fold.
 
     Each class (pair of endpoint values, count c) with term t contributes
-    c*t to a sum, t^c to a product and c*x^t to a polynomial.  An exact
-    product multiplies in balanced trees, so each step multiplies numbers of
-    like size rather than the whole running product by one more power; it is
-    0 at once if a term is, and refused (UnsupportedEvaluation) before the
-    trees are built if either is certain to pass ``exact.POWER_BITS_MAX``
-    bits.  Their quotient is reduced by one ``gcd``.
+    c*t to a sum, t^c to a product and c*x^t to a polynomial.  A product with
+    no float term is ``_exact_product``; with a float term it multiplies the
+    powers left to right.  Sums add left to right.
     """
-    terms = ((term(*pair), c) for pair, c in census.items())
     if form == "exponential" and aggregation == "sum":
-        return ExpPoly(terms)
+        return ExpPoly(zip(starmap(term, census), census.values()))
     if form == "value" and aggregation == "product":
-        terms = list(terms)
+        terms = list(zip(starmap(term, census), census.values()))
         if not any(isinstance(t, float) for t, _ in terms):
-            if not all(t for t, _ in terms):
-                return Fraction(0)
-            refuse_past_cap(max(sum(c * (abs(t.numerator).bit_length() - 1) for t, c in terms),
-                                sum(c * (t.denominator.bit_length() - 1) for t, c in terms)))
-            return Fraction(_tree(operator.mul, [t.numerator**c for t, c in terms], 1),
-                            _tree(operator.mul, [t.denominator**c for t, c in terms], 1))
+            return _exact_product(terms)
         # A float power raises OverflowError where repeated products reach inf.
         powers = (math.prod(repeat(t, c)) if isinstance(t, float) else t**c for t, c in terms)
         return math.prod(powers, start=Fraction(1))
     # Integer terms add as ints, left to right (sum() would take its
     # compensated float path from Python 3.12); Fraction(0) keeps the type.
-    total = Fraction(0) + reduce(operator.add, (c * t for t, c in terms), 0)
+    counts, terms = census.values(), starmap(term, census)
+    total = Fraction(0) + reduce(operator.add, map(operator.mul, counts, terms), 0)
     return total if form == "value" else ExpPoly.monomial(total)
 
 
 def _kernel_product(g: Graph, census, d: Descriptor) -> Fraction:
     """The exact product P of ``d``'s plain kernel over ``census``, once per graph.
 
-    ``census`` is ``g``'s census of ``d.source``.  P is kept in the graph's
-    ``_products`` memo under (source, variant), filled on first use as
-    ``edge_census`` fills ``_census``; a refusal is not kept.
+    ``census`` is ``g``'s census of ``d.source``.  Every kernel value is an
+    int or a Fraction, so ``_fold`` builds P by ``_exact_product``: a large P
+    is merged into one exponent per distinct value, refined into a coprime
+    base where its numerators and denominators share factors and that is
+    cheaper than one final ``gcd``, and built by squaring over the exponents'
+    bits.  P is kept in the graph's ``_products`` memo under (source,
+    variant), filled on first use as ``edge_census`` fills ``_census``; a
+    refusal is not kept.
     """
     try:
         memo = g._products
@@ -173,10 +275,11 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
     hyper, inverse, and general with an integral a) is P**e, since the
     product of (k**e)**c is (product of k**c)**e.  P is built once per graph
     and (source, variant) by ``_kernel_product``, so the four transforms
-    share one pair of product trees and one ``gcd``: an int power of a
-    reduced Fraction is reduced already.  Before P**e is built, each class's
-    k**e and then P**e itself go through ``exact.check_power``, so a power
-    the per-class fold would refuse is refused here too, even where P is 0.
+    share one exact product: an int power of a reduced Fraction is reduced
+    already, and ``Fraction.__pow__`` builds it without a ``gcd``.  Before
+    P**e is built, each class's k**e and then P**e itself go through
+    ``exact.check_power``, so a power the per-class fold would refuse is
+    refused here too, even where P is 0.
     """
     if d.transform == "general":
         if a is None:
@@ -203,7 +306,8 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
             base = _kernel_product(g, census, d)
             check_power(base, exponent)
             return base**exponent
-    return _fold(census, lambda x, y: transform(kernel(x, y), a), d.aggregation, d.form)
+    term = kernel if d.transform == "identity" else lambda x, y: transform(kernel(x, y), a)
+    return _fold(census, term, d.aggregation, d.form)
 
 
 # --- standalone indices -------------------------------------------------------

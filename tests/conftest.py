@@ -29,6 +29,17 @@ def random_connected_graph(rng: random.Random, n: int, p: float = 0.4) -> Graph:
             return g
 
 
+def random_graph(seed: int, n: int, m: int) -> Graph:
+    """G(n, m): distinct uniformly random vertex pairs until there are ``m`` edges."""
+    rng = random.Random(seed)
+    edges = set()
+    while len(edges) < m:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return Graph(n, sorted(edges))
+
+
 def family_grid(max_n: int) -> list[tuple[str, Graph]]:
     """One labelled graph per family parameter point up to size max_n."""
     out = []

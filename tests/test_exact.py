@@ -1,5 +1,6 @@
 """Exact arithmetic layer: rationals, powers, square roots, ExpPoly."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -52,6 +53,19 @@ class TestRationals:
         r = F(num, den)
         assert F(r.numerator, r.denominator) == r
         assert r.denominator > 0
+
+    def test_from_coprime_skips_the_gcd(self):
+        # Every supported CPython (3.10-3.13) has a private gcd-free
+        # constructor; one that drops it would silently pay the gcd again.
+        assert exact.from_coprime is not F
+
+    @given(st.integers(-10**40, 10**40), st.integers(1, 10**40))
+    def test_from_coprime_equals_fraction(self, num, den):
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        got = exact.from_coprime(num, den)
+        assert type(got) is F and got == F(num, den)
+        assert (got.numerator, got.denominator) == (num, den)
 
 
 class TestPowers:

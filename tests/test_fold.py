@@ -14,12 +14,13 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from topoidx import exact
+from topoidx import exact, indices
 from topoidx.errors import InverseUndefined, TopoidxError, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
 from topoidx.functionals import edge_census
@@ -38,6 +39,7 @@ from topoidx.indices import (
 )
 
 import reference
+from conftest import random_graph
 
 DESCRIPTORS = [lookup(name)[0] for name in registry_names()]
 GENERAL = [d for d in DESCRIPTORS if d.transform == "general"]
@@ -248,6 +250,39 @@ def test_zero_and_empty_products_pinned():
         assert type(value) is F and value == 1, name
 
 
+# Exact terms only.  Small ones share factors, so that equal values merge,
+# factors cancel across classes and a coprime base has to split values.
+EXACT_TERM = (st.builds(F, st.integers(-60, 60), st.integers(1, 60))
+              | st.integers(-10**30, 10**30)
+              | st.fractions(max_denominator=10**6))
+EXACT_TERMS = st.lists(st.tuples(EXACT_TERM, st.integers(1, 40)), max_size=12)
+
+
+@pytest.mark.parametrize("bits_per_value", [0, 10**18], ids=["refined", "reduced"])
+@settings(max_examples=300, deadline=None)
+@given(terms=EXACT_TERMS)
+@example(terms=[(3, 2), (0, 1), (F(-5, 7), 3)])  # a zero term
+@example(terms=[(-2, 3), (F(-1, 3), 2), (-7, 1), (F(5, -9), 4)])  # negative terms
+@example(terms=[(6, 4), (F(9, 4), 2), (F(1, 6), 5)])  # factors cancel across classes
+@example(terms=[(F(2, 3), 3), (F(-3, 2), 3), (F(9, 4), 2), (F(4, 9), 2)])  # to -1
+@example(terms=[(F(4, 9), 2), (F(4, 9), 3), (F(12, 35), 5), (F(35, 6), 2), (12, 1)])  # repeats
+@example(terms=[(F(1, 6), 2), (F(1, 10), 3)])  # unit numerators
+@example(terms=[])
+def test_exact_product_matches_left_to_right(bits_per_value, terms):
+    """The merged product equals the left-to-right product, in lowest terms.
+
+    Every product takes the merged path, whatever its size.
+    ``bits_per_value`` 0 refines every product with both signs of exponent
+    into a coprime base; 10**18 reduces each by one final gcd.
+    """
+    with mock.patch.multiple(indices, MERGED_PRODUCT_MIN_BITS=0,
+                             REFINE_BITS_PER_VALUE=bits_per_value):
+        got = folded(terms, "product")
+    want = reference.product_fold(terms)
+    assert type(got) is F and got == want, (terms, got, want)
+    assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1, (terms, got)
+
+
 def test_product_trees_past_cap_refused(monkeypatch):
     # 2**c has c + 1 bits: trees of 100 bits are built, 101 are refused.
     monkeypatch.setattr(exact, "POWER_BITS_MAX", 100)
@@ -320,12 +355,37 @@ def test_product_siblings_are_powers_of_the_identity_product(g):
 
 
 def test_gcd_recorder_sees_the_identity_product_reduced():
-    """The recorder above would catch a sibling reduced as the identity product is."""
-    g = generate_family("wheel", 4)
+    """The recorder above would catch a sibling reduced as a big Fraction is.
+
+    The control is one explicit reduction of a big Fraction, as a large
+    identity product made before its numerator and denominator were built
+    coprime (``test_cold_products_reduce_nothing_longer_than_a_term``).
+    """
+    big = 996005996001
     with gcd_operands() as calls:
-        assert evaluate(g, "MRL1") == 996005996001
-    assert multi_digit(calls) == [(996005996001, 1)]
+        assert F(big * 7, big * 3) == F(7, 3)
+    assert multi_digit(calls) == [(big * 7, big * 3)]
+    g = generate_family("wheel", 4)
+    assert evaluate(g, "MRL1") == big
     with gcd_operands() as calls:
         siblings = [evaluate(g, "MHRL1"), evaluate(g, "MGRL1", 3), evaluate(g, "MIRL1")]
     assert not multi_digit(calls)
-    assert siblings == [996005996001**2, 996005996001**3, F(1, 996005996001)]
+    assert siblings == [big**2, big**3, F(1, big)]
+
+
+def test_cold_products_reduce_nothing_longer_than_a_term():
+    """A cold product makes no gcd with an operand longer than its longest term part.
+
+    On this G(2000, 10**4) the temperature and Banhatti products have about
+    400 distinct values and 3.6e5 bits, so the crossover refines them into
+    a coprime base; their one final gcd had two operands of that size.
+    """
+    g = random_graph(5, 2000, 10**4)
+    for name in ("MRL1", "MTRL1", "MBRL1"):
+        d = lookup(name)[0]
+        longest = max(max(abs(k.numerator).bit_length(), k.denominator.bit_length())
+                      for k in (_KERNELS[d.variant](*pair) for pair in edge_census(g, d.source)))
+        with gcd_operands() as calls:
+            evaluate(Graph(g.n, g.edges), name)
+        widest = max((abs(x).bit_length() for args in calls for x in args), default=0)
+        assert widest <= longest, (name, widest, longest)

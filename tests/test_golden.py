@@ -6,12 +6,13 @@ refactor of the evaluation or rendering path must leave them all equal.
 """
 
 import hashlib
-import random
 
 import pytest
 
-from topoidx import Graph, cli, generate_family, lookup, registry_names, write_graph
+from topoidx import Graph, cli, evaluate, generate_family, lookup, registry_names, write_graph
 from topoidx.indices import SPECIAL_NAMES
+
+from conftest import random_graph
 
 
 def _stdout(capsys, *argv) -> str:
@@ -47,17 +48,6 @@ def test_verify_csv(argv, digest, capsys):
     assert _sha(_stdout(capsys, "verify", "--format", "csv", *argv)) == digest
 
 
-def _random_graph(seed: int, n: int, m: int) -> Graph:
-    """Distinct uniformly random vertex pairs until there are ``m`` edges."""
-    rng = random.Random(seed)
-    edges = set()
-    while len(edges) < m:
-        u, v = rng.randrange(n), rng.randrange(n)
-        if u != v:
-            edges.add((min(u, v), max(u, v)))
-    return Graph(n, sorted(edges))
-
-
 COMPUTE_ALL = {
     "wheel_4": (generate_family("wheel", 4),
                 "51793ec62c6d188d4216d4129ec7ebbeccbe6017f09a6708f268a01170772a97"),
@@ -78,7 +68,7 @@ COMPUTE_ALL = {
     # Connected, with tens of census classes, so product names multiply
     # tens of powers; recorded from the left-to-right folds.  n > 24, so the
     # domination names give GraphTooLarge rows.
-    "random_7_30_66": (_random_graph(7, 30, 66),
+    "random_7_30_66": (random_graph(7, 30, 66),
                        "7ef1064836890de286fe652900c7d43d4b4568535f6851ed8c2d9e1e46de68d2"),
 }
 
@@ -155,3 +145,29 @@ def test_functionals_closeness(tmp_path, capsys):
     write_graph(generate_family("wheel", 1000), path)
     out = _stdout(capsys, "functionals", path, "--source", "closeness")
     assert _sha(out) == "6239fe837ce8d2f6a46e54bf9477ce91b95d2d63a1a679ca03bd916a47f5de4b"
+
+
+# Exact products over tens of census classes, pinned as the bytes of the
+# numerator and denominator: a fold that regroups, reorders or skips the
+# reduction of any factor changes a digest.  The bytes avoid int-to-text.
+def _value_digest(value) -> str:
+    h = hashlib.sha256(b"-" if value.numerator < 0 else b"+")
+    for part in (abs(value.numerator), value.denominator):
+        data = part.to_bytes((part.bit_length() + 7) // 8, "big")
+        h.update(len(data).to_bytes(8, "big") + data)
+    return h.hexdigest()
+
+
+BIG_PRODUCTS = {
+    "MRL1": "a2ada073aa931a71b39e65380c93b82b7ee2cea32e0a1e438ed2a4c18de425e6",
+    "MIRL1": "02f6fff9ff70b7a8fb24601f0f4a8045296ad1ce87c020a52998eda769eea415",
+    "MTRL1": "7604741fcde84ff2c220b26ee223efcde46c6ba1e904fd0c5e52692c106dede8",
+    "MBRL1": "7eb043d8710ae208d563eaf7e9a074d6f414935074b2e4631b937fa4e68ae448",
+    "MNRL1": "1f00255f3ba8aa0a4407cb70cef7ccf91d767351d52a2154be917168419054f1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(BIG_PRODUCTS))
+def test_big_product_bytes(name):
+    # G(300, 1500): its products reach 12,000-32,000 bits.
+    assert _value_digest(evaluate(random_graph(5, 300, 1500), name)) == BIG_PRODUCTS[name]
