@@ -187,6 +187,9 @@ class ExpPoly:
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
 
+    def __reduce__(self):
+        return ExpPoly, (self._terms,)
+
     @classmethod
     def monomial(cls, exponent: RatLike, coeff: int = 1) -> "ExpPoly":
         return cls({exponent: coeff})

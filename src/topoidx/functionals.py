@@ -283,11 +283,7 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
     about as much to rebuild as the fold that reads it, and keeping it would
     hold a second edge list.
     """
-    try:
-        memo = g._census
-    except AttributeError:
-        memo = {}
-        object.__setattr__(g, "_census", memo)
+    memo = g._memo
     if source in memo:
         return memo[source]
     if source in _DEGREE_VALUE:

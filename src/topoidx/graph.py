@@ -23,13 +23,12 @@ class Graph:
     """Simple undirected graph; immutable, with its derived structures built once."""
 
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
-    # graph up by hash, and hashing the edges costs O(m) each time.  ``_census``
-    # is filled in by the first ``functionals.edge_census``: source -> census.
-    # ``_products`` is filled in by the first value-form product in
-    # ``indices.evaluate_descriptor``: (source, variant) -> the exact product
+    # graph up by hash, and hashing the edges costs O(m) each time.  ``_memo``
+    # holds what the evaluators derive from the graph: source -> edge census
+    # (``functionals.edge_census``), and (source, variant) -> the exact product
     # of the plain kernel, whose powers give the hyper, inverse and general
-    # products.
-    __slots__ = ("n", "edges", "adj", "degrees", "_hash", "_census", "_products")
+    # products (``indices.evaluate_descriptor``).
+    __slots__ = ("n", "edges", "adj", "degrees", "_hash", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
@@ -54,9 +53,14 @@ class Graph:
         object.__setattr__(self, "edges", canonical)
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "degrees", tuple(map(len, adj)))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
+
+    def __reduce__(self):
+        # Pickles and copies are rebuilt by the constructor, with an empty memo.
+        return Graph, (self.n, self.edges)
 
     @property
     def edge_count(self) -> int:

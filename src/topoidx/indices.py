@@ -123,12 +123,6 @@ def _tree(op, items: list, identity):
 # value on temperature and Banhatti products of random graphs (CHANGES.md).
 REFINE_BITS_PER_VALUE = 512
 
-# Below this estimate of a product's bits, merging values and squaring over
-# the exponents' bits cost more Python steps than they save, and the tree of
-# the powers t**c reduced by one gcd is faster: the two took equal time at
-# about 8,000 bits on the censuses of family and random graphs.
-MERGED_PRODUCT_MIN_BITS = 8192
-
 
 def _coprime_base(exponents: dict[int, int]) -> dict[int, int]:
     """Rewrite the product of b**e over ``exponents`` over pairwise coprime bases.
@@ -179,12 +173,10 @@ def _exact_product(terms: list) -> Fraction:
 
     0 at once if a term is.  Refused (UnsupportedEvaluation) before anything
     is multiplied if the numerators' or the denominators' bits, estimated from
-    the unreduced terms, are certain to pass ``exact.POWER_BITS_MAX``.  Under
-    ``MERGED_PRODUCT_MIN_BITS`` of that estimate, the tree of the numerators'
-    powers over the tree of the denominators', reduced by one ``gcd``.
+    the unreduced terms, are certain to pass ``exact.POWER_BITS_MAX``.
 
-    Otherwise equal values merge into one signed exponent, +c for a numerator
-    and -c for a denominator; the product is negative when the counts of the
+    Equal values merge into one signed exponent, +c for a numerator and -c
+    for a denominator; the product is negative when the counts of the
     negative terms add up to an odd number.
     Each side is built by ``_power_product``.  Where both sides have bases,
     they are refined into a coprime base first if that is the cheaper
@@ -196,9 +188,6 @@ def _exact_product(terms: list) -> Fraction:
     bits = max(sum(c * (abs(t.numerator).bit_length() - 1) for t, c in terms),
                sum(c * (t.denominator.bit_length() - 1) for t, c in terms))
     refuse_past_cap(bits)
-    if bits < MERGED_PRODUCT_MIN_BITS:
-        return Fraction(_tree(operator.mul, [t.numerator**c for t, c in terms], 1),
-                        _tree(operator.mul, [t.denominator**c for t, c in terms], 1))
     exponents: dict[int, int] = {}
     odd = 0
     for t, c in terms:
@@ -242,29 +231,6 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
     return total if form == "value" else ExpPoly.monomial(total)
 
 
-def _kernel_product(g: Graph, census, d: Descriptor) -> Fraction:
-    """The exact product P of ``d``'s plain kernel over ``census``, once per graph.
-
-    ``census`` is ``g``'s census of ``d.source``.  Every kernel value is an
-    int or a Fraction, so ``_fold`` builds P by ``_exact_product``: a large P
-    is merged into one exponent per distinct value, refined into a coprime
-    base where its numerators and denominators share factors and that is
-    cheaper than one final ``gcd``, and built by squaring over the exponents'
-    bits.  P is kept in the graph's ``_products`` memo under (source,
-    variant), filled on first use as ``edge_census`` fills ``_census``; a
-    refusal is not kept.
-    """
-    try:
-        memo = g._products
-    except AttributeError:
-        memo = {}
-        object.__setattr__(g, "_products", memo)
-    key = (d.source, d.variant)
-    if key not in memo:
-        memo[key] = _fold(census, _KERNELS[d.variant], "product", "value")
-    return memo[key]
-
-
 def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
     """Fold the transformed kernel over the edge census of ``g``.
 
@@ -273,9 +239,10 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
 
     A value-form product whose per-class term is k**e for an int e (identity,
     hyper, inverse, and general with an integral a) is P**e, since the
-    product of (k**e)**c is (product of k**c)**e.  P is built once per graph
-    and (source, variant) by ``_kernel_product``, so the four transforms
-    share one exact product: an int power of a reduced Fraction is reduced
+    product of (k**e)**c is (product of k**c)**e.  P, the ``_exact_product``
+    of the plain kernel, is kept in the graph's memo under (source, variant)
+    beside the censuses, so the four transforms share one exact product; a
+    refusal is not kept.  An int power of a reduced Fraction is reduced
     already, and ``Fraction.__pow__`` builds it without a ``gcd``.  Before
     P**e is built, each class's k**e and then P**e itself go through
     ``exact.check_power``, so a power the per-class fold would refuse is
@@ -303,7 +270,10 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
             for pair in census:
                 check_power(kernel(*pair), exponent)
         if exponent is not None:
-            base = _kernel_product(g, census, d)
+            key = (d.source, d.variant)
+            if key not in g._memo:
+                g._memo[key] = _fold(census, kernel, "product", "value")
+            base = g._memo[key]
             check_power(base, exponent)
             return base**exponent
     term = kernel if d.transform == "identity" else lambda x, y: transform(kernel(x, y), a)
@@ -411,8 +381,7 @@ def evaluate(g: Graph, index: str | Descriptor, a: Rat | None = None):
 
     ``a`` supplies the general-transform power when the name itself does not
     carry one.  Pure function; safe to call concurrently on a shared graph:
-    two threads filling the graph's census or product memo can only store
-    equal values.
+    two threads filling the graph's memo can only store equal values.
     """
     if not isinstance(index, Descriptor):
         index, a_inline = lookup(index)

@@ -1,6 +1,8 @@
 """Exact arithmetic layer: rationals, powers, square roots, ExpPoly."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -18,6 +20,8 @@ from topoidx.exact import (
     rat_pow,
     sqrt_sum,
 )
+from topoidx.graph import generate_family
+from topoidx.indices import evaluate
 
 from reference import parse_poly
 
@@ -233,6 +237,23 @@ class TestExpPoly:
         p = ExpPoly({1: 1})
         with pytest.raises(AttributeError):
             p._terms = {}
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda p: pickle.loads(pickle.dumps(p)),
+        lambda p: pickle.loads(pickle.dumps(p, protocol=0)),
+    ], ids=["copy", "deepcopy", "pickle", "pickle0"])
+    def test_copies_are_equal(self, clone):
+        wheel = generate_family("wheel", 4)
+        for p in (ExpPoly(), ExpPoly({F(175, 4): 4, 12: 4, 0: 1}),
+                  evaluate(wheel, "RL1exp"), evaluate(wheel, "IRRL2exp")):
+            q = clone(p)
+            assert type(q) is ExpPoly and q == p and hash(q) == hash(p)
+            assert [(type(e), e, c) for e, c in q.terms()] == [(type(e), e, c) for e, c in p.terms()]
+            assert q.render() == p.render()
+            with pytest.raises(AttributeError):
+                q._terms = {}
 
     @given(st.lists(
         st.tuples(

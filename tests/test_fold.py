@@ -226,10 +226,10 @@ def settled(fn, terms):
 @example([(F(2, 3), 3), (1e300, 2), (4, 1)])  # 1e300**2 is inf
 @example([(6, 4), (F(9, 4), 2), (F(1, 6), 5)])  # factors cancel across classes
 def test_product_fold_matches_left_to_right_to_the_bit(terms):
-    """The product trees give the value and type of the left-to-right product.
+    """The product fold gives the value and type of the left-to-right product.
 
-    Exact terms multiply in two trees, numerators and denominators, reduced
-    once at the end; with any float term the fold is the left-to-right
+    Exact terms are merged into signed exponents and built by squaring over
+    the exponents' bits; with any float term the fold is the left-to-right
     product itself, so a float result, inf included, carries the same bits.
     """
     got = settled(lambda ts: folded(ts, "product"), terms)
@@ -271,12 +271,10 @@ EXACT_TERMS = st.lists(st.tuples(EXACT_TERM, st.integers(1, 40)), max_size=12)
 def test_exact_product_matches_left_to_right(bits_per_value, terms):
     """The merged product equals the left-to-right product, in lowest terms.
 
-    Every product takes the merged path, whatever its size.
     ``bits_per_value`` 0 refines every product with both signs of exponent
     into a coprime base; 10**18 reduces each by one final gcd.
     """
-    with mock.patch.multiple(indices, MERGED_PRODUCT_MIN_BITS=0,
-                             REFINE_BITS_PER_VALUE=bits_per_value):
+    with mock.patch.object(indices, "REFINE_BITS_PER_VALUE", bits_per_value):
         got = folded(terms, "product")
     want = reference.product_fold(terms)
     assert type(got) is F and got == want, (terms, got, want)
@@ -284,13 +282,13 @@ def test_exact_product_matches_left_to_right(bits_per_value, terms):
 
 
 def test_product_trees_past_cap_refused(monkeypatch):
-    # 2**c has c + 1 bits: trees of 100 bits are built, 101 are refused.
+    # 2**c has c + 1 bits: sides of 100 bits are built, 101 are refused.
     monkeypatch.setattr(exact, "POWER_BITS_MAX", 100)
     assert folded([(2, 60), (F(1, 4), 20)], "product") == F(2**60, 2**40)
     for terms in ([(2, 60), (4, 21)], [(F(1, 2), 101)], [(F(3, 4), 51)]):
         with pytest.raises(UnsupportedEvaluation):
             folded(terms, "product")
-    # A zero term makes the product 0 before any tree is sized.
+    # A zero term makes the product 0 before any side is sized.
     assert folded([(0, 1), (2, 10**6)], "product") == 0
 
 
@@ -371,6 +369,20 @@ def test_gcd_recorder_sees_the_identity_product_reduced():
         siblings = [evaluate(g, "MHRL1"), evaluate(g, "MGRL1", 3), evaluate(g, "MIRL1")]
     assert not multi_digit(calls)
     assert siblings == [big**2, big**3, F(1, big)]
+
+
+@pytest.mark.parametrize("family", [("wheel", 4), ("star", 5)], ids=["wheel4", "star5"])
+@pytest.mark.parametrize("name", ["MRL1", "MRRL1", "MNRL1", "MRLKV1", "MIRL1"])
+def test_cold_int_products_make_no_gcd(family, name):
+    """A cold product of int kernels makes no gcd at all, small as it is.
+
+    Its denominator side is 1, so its Fraction is made coprime as built,
+    and the inverse is a power of it.
+    """
+    g = generate_family(*family)
+    with gcd_operands() as calls:
+        evaluate(g, name)
+    assert calls == []
 
 
 def test_cold_products_reduce_nothing_longer_than_a_term():

@@ -1,5 +1,7 @@
 """Graph construction, generators (with their edge-type censuses), and file IO."""
 
+import copy
+import pickle
 from itertools import permutations
 
 import pytest
@@ -22,6 +24,7 @@ from topoidx.graph import (
     generate_family,
     loads,
 )
+from topoidx.indices import evaluate
 
 from reference import graph_structures
 
@@ -101,6 +104,29 @@ class TestBuildGraph:
         g = Graph(2, [(0, 1)])
         with pytest.raises(AttributeError):
             g.n = 5
+
+    @pytest.mark.parametrize("clone", [
+        copy.copy,
+        copy.deepcopy,
+        lambda g: pickle.loads(pickle.dumps(g)),
+        lambda g: pickle.loads(pickle.dumps(g, protocol=0)),
+    ], ids=["copy", "deepcopy", "pickle", "pickle0"])
+    def test_copies_are_rebuilt_with_an_empty_memo(self, clone):
+        def values(g):
+            return [evaluate(g, name) for name in ("RL1", "MRL1", "MITRL2", "RL7", "RLKV3exp")]
+
+        g = generate_family("sunflower", 4)
+        fresh = clone(g)
+        assert type(fresh) is Graph and fresh is not g
+        assert (fresh.n, fresh.edges, fresh.adj, fresh.degrees) == (g.n, g.edges, g.adj, g.degrees)
+        assert fresh._memo == {} and fresh._memo is not g._memo
+        first = values(g)
+        assert ("temperature", 2) in g._memo and "kv" in g._memo
+        warm = clone(g)
+        assert warm == g and hash(warm) == hash(g) and warm._memo == {}
+        with pytest.raises(AttributeError):
+            warm.n = 5
+        assert values(warm) == first == values(fresh)
 
     def test_equal_graphs_hash_equal(self):
         g = Graph(4, [(0, 1), (2, 1), (3, 0)])
