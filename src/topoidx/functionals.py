@@ -29,7 +29,7 @@ against the immutable graph, and its small edge censuses kept in its memo.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from types import MappingProxyType
 
@@ -244,20 +244,25 @@ def vertex_table(g: Graph, source: str) -> tuple:
     return build(g)
 
 
-def edge_endpoint_values(g: Graph, source: str):
-    """Yield (u, v, value_at_u, value_at_v) for every edge, per source."""
-    if source == "banhatti":
-        for u, v in g.edges:
-            yield (u, v, *_banhatti_pair(g.n, g.degrees[u], g.degrees[v]))
-    else:
-        table = vertex_table(g, source)
-        for u, v in g.edges:
-            yield u, v, table[u], table[v]
-
-
 # Degree-determined vertex source -> its value as a function of the degree,
 # which both its vertex table and its census map.
 _DEGREE_VALUE = {"revan": _revan_of, "temperature": _temperature_of}
+
+# The sources whose census maps the classes of the plain census.
+_DEGREE_MAPPED = (*_DEGREE_VALUE, "banhatti")
+
+
+def _ends_of_degrees(g: Graph, source: str):
+    """The values at the ends of an edge as a function of its end degrees d_u, d_v.
+
+    For the degree-determined sources other than plain; each distinct degree
+    is valued once.
+    """
+    if source == "banhatti":
+        return partial(_banhatti_pair, g.n)
+    value_of = _DEGREE_VALUE[source](g)
+    value = {d: value_of(d) for d in set(g.degrees)}
+    return lambda d_u, d_v: (value[d_u], value[d_v])
 
 
 def _merge(weighted_pairs) -> dict[tuple, int]:
@@ -286,13 +291,9 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
     memo = g._memo
     if source in memo:
         return memo[source]
-    if source in _DEGREE_VALUE:
-        value_of = _DEGREE_VALUE[source](g)
-        value = {d: value_of(d) for d in set(g.degrees)}
-        pairs = ((value[d_u], value[d_v], c) for (d_u, d_v), c in edge_census(g, "plain").items())
-    elif source == "banhatti":
-        pairs = ((*_banhatti_pair(g.n, d_u, d_v), c)
-                 for (d_u, d_v), c in edge_census(g, "plain").items())
+    if source in _DEGREE_MAPPED:
+        ends = _ends_of_degrees(g, source)
+        pairs = ((*ends(d_u, d_v), c) for (d_u, d_v), c in edge_census(g, "plain").items())
     elif source == "closeness":
         table = vertex_table(g, source)
         sums = [(g.n - 1) * c.denominator // c.numerator for c in table]
@@ -306,3 +307,22 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
     if 2 * len(census) <= g.edge_count:
         memo[source] = census
     return census
+
+
+def first_edge_of_class(g: Graph, source: str, pair: tuple) -> tuple[int, int]:
+    """The first edge, in edge order, of the class ``pair`` of ``edge_census(g, source)``.
+
+    A degree-determined class is the union of the degree-pair classes that
+    map to it, and the plain census keeps the order of first edges, so its
+    first edge is that of the first degree-pair class mapping to ``pair``;
+    the edges are then compared by int degrees.  Any other source compares
+    the edges' vertex-table values with ``pair``.
+    """
+    table, (lo, hi) = g.degrees, pair
+    if source in _DEGREE_MAPPED:
+        ends = _ends_of_degrees(g, source)
+        lo, hi = next(degrees for degrees in edge_census(g, "plain")
+                      if ends(*degrees) in (pair, pair[::-1]))
+    elif source != "plain":
+        table = vertex_table(g, source)
+    return next((u, v) for u, v in g.edges if (table[u], table[v]) in ((lo, hi), (hi, lo)))

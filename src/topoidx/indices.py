@@ -38,7 +38,7 @@ from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from .exact import (
     ExpPoly, Rat, check_power, from_coprime, general_pow, parse_rat, refuse_past_cap, sqrt_sum,
 )
-from .functionals import edge_census, edge_endpoint_values
+from .functionals import edge_census, first_edge_of_class
 from .graph import Graph
 
 _SOURCE_STEM = {
@@ -207,18 +207,19 @@ def _exact_product(terms: list) -> Fraction:
     return Fraction(num, den) if mixed else from_coprime(num, den)
 
 
-def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
-    """Fold a per-class term over an edge census; every index is one such fold.
+def _fold(counts, terms, aggregation: str, form: str):
+    """Fold per-class terms over the class counts of an edge census; every index is one such fold.
 
-    Each class (pair of endpoint values, count c) with term t contributes
-    c*t to a sum, t^c to a product and c*x^t to a polynomial.  A product with
-    no float term is ``_exact_product``; with a float term it multiplies the
-    powers left to right.  Sums add left to right.
+    ``terms`` gives each class's term t, in census order, beside its count c
+    in ``counts``.  A class contributes c*t to a sum, t^c to a product and
+    c*x^t to a polynomial.  A product with no float term is
+    ``_exact_product``; with a float term it multiplies the powers left to
+    right.  Sums add left to right.
     """
     if form == "exponential" and aggregation == "sum":
-        return ExpPoly(zip(starmap(term, census), census.values()))
+        return ExpPoly(zip(terms, counts))
     if form == "value" and aggregation == "product":
-        terms = list(zip(starmap(term, census), census.values()))
+        terms = list(zip(terms, counts))
         if not any(isinstance(t, float) for t, _ in terms):
             return _exact_product(terms)
         # A float power raises OverflowError where repeated products reach inf.
@@ -226,9 +227,28 @@ def _fold(census: dict[tuple, int], term, aggregation: str, form: str):
         return math.prod(powers, start=Fraction(1))
     # Integer terms add as ints, left to right (sum() would take its
     # compensated float path from Python 3.12); Fraction(0) keeps the type.
-    counts, terms = census.values(), starmap(term, census)
     total = Fraction(0) + reduce(operator.add, map(operator.mul, counts, terms), 0)
     return total if form == "value" else ExpPoly.monomial(total)
+
+
+class _Kernel:
+    """What one kernel derives on one graph, shared by the 16 names that read it.
+
+    Kept in the graph's memo under (source, variant).  Where the census is
+    kept, ``values`` holds the kernel of each class in census order.  Where
+    it is not, ``values`` is None and each call streams the kernel over the
+    rebuilt census, since one value per class would hold about as much
+    memory as keeping that census.  ``zero``, set by the first reciprocal,
+    is the first class in census order whose kernel is 0, or None.
+    ``powers`` is None until a product asks for P, the exact product of the
+    kernel; then it maps e to P**e, with P = ``powers[1]``.
+    """
+
+    __slots__ = ("values", "zero", "powers")
+
+    def __init__(self, census, kernel, kept: bool):
+        self.values = tuple(starmap(kernel, census)) if kept else None
+        self.powers = None
 
 
 def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
@@ -237,16 +257,22 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
     Returns an exact Fraction (value form), an ExpPoly (exponential form), or
     a float when a non-integer general power forces one.
 
+    The 16 names of a (source, variant) read one ``_Kernel`` entry in the
+    graph's memo.  Where the census is kept, the entry holds the kernel's
+    class values, so the kernel is evaluated once per class and graph.  A
+    reciprocal over a zero kernel raises ``InverseUndefined`` on the first
+    edge of the first zero class in census order, which is the first zero
+    edge in edge order.
+
     A value-form product whose per-class term is k**e for an int e (identity,
     hyper, inverse, and general with an integral a) is P**e, since the
-    product of (k**e)**c is (product of k**c)**e.  P, the ``_exact_product``
-    of the plain kernel, is kept in the graph's memo under (source, variant)
-    beside the censuses, so the four transforms share one exact product; a
-    refusal is not kept.  An int power of a reduced Fraction is reduced
-    already, and ``Fraction.__pow__`` builds it without a ``gcd``.  Before
-    P**e is built, each class's k**e and then P**e itself go through
-    ``exact.check_power``, so a power the per-class fold would refuse is
-    refused here too, even where P is 0.
+    product of (k**e)**c is (product of k**c)**e.  P and each power asked
+    for are kept in the entry, so ``MGRL1(a=2)`` is the object that
+    ``MHRL1`` built; a refusal is not kept.  An int power of a reduced
+    Fraction is reduced already, and ``Fraction.__pow__`` builds it without a
+    ``gcd``.  On every call, each class's k**e and then P**e itself go
+    through ``exact.check_power`` before P**e is built or read, so a power
+    the per-class fold would refuse is refused here too, even where P is 0.
     """
     if d.transform == "general":
         if a is None:
@@ -256,28 +282,39 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
         a = Fraction(a)
     kernel = _KERNELS[d.variant]
     census = edge_census(g, d.source)
+    key = (d.source, d.variant)
+    entry = g._memo.get(key)
+    if entry is None:
+        entry = g._memo[key] = _Kernel(census, kernel, d.source in g._memo)
+
+    def kernels():
+        return starmap(kernel, census) if entry.values is None else entry.values
+
     if d.transform == "inverse" or (d.transform == "general" and a < 0):
-        if any(kernel(*pair) == 0 for pair in census):
-            # Error path only: name the first such edge in edge order.
-            raise InverseUndefined(next(
-                (u, v) for u, v, val_u, val_v in edge_endpoint_values(g, d.source)
-                if kernel(val_u, val_v) == 0
-            ))
+        try:
+            zero = entry.zero
+        except AttributeError:
+            zero = entry.zero = next((pair for pair, k in zip(census, kernels()) if k == 0), None)
+        if zero is not None:
+            raise InverseUndefined(first_edge_of_class(g, d.source, zero))
     _, transform, exponent = _TRANSFORMS[d.transform]
     if d.aggregation == "product" and d.form == "value":
         if d.transform == "general" and a.denominator == 1:
             exponent = a.numerator
-            for pair in census:
-                check_power(kernel(*pair), exponent)
+            for k in kernels():
+                check_power(k, exponent)
         if exponent is not None:
-            key = (d.source, d.variant)
-            if key not in g._memo:
-                g._memo[key] = _fold(census, kernel, "product", "value")
-            base = g._memo[key]
-            check_power(base, exponent)
-            return base**exponent
-    term = kernel if d.transform == "identity" else lambda x, y: transform(kernel(x, y), a)
-    return _fold(census, term, d.aggregation, d.form)
+            if entry.powers is None:
+                entry.powers = {1: _fold(census.values(), kernels(), "product", "value")}
+            powers = entry.powers
+            check_power(powers[1], exponent)
+            if exponent not in powers:
+                powers[exponent] = powers[1] ** exponent
+            return powers[exponent]
+    terms = kernels()
+    if d.transform != "identity":
+        terms = (transform(k, a) for k in terms)
+    return _fold(census.values(), terms, d.aggregation, d.form)
 
 
 # --- standalone indices -------------------------------------------------------
@@ -310,7 +347,8 @@ SPECIAL_NAMES = tuple(_STANDALONE)
 def _evaluate_standalone(g: Graph, name: str):
     source, rational, radicand, _ = _STANDALONE[name]
     census = edge_census(g, source)
-    linear = Fraction(0) if rational is None else _fold(census, rational, "sum", "value")
+    linear = Fraction(0) if rational is None else _fold(
+        census.values(), starmap(rational, census), "sum", "value")
     if radicand is None:
         return linear
     # Fraction + float is float(linear) + roots.

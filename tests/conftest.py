@@ -40,6 +40,14 @@ def random_graph(seed: int, n: int, m: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def random_graph_with_isolated(rng: random.Random) -> Graph:
+    """G(n, p) on the first vertices, then zero to three isolated vertices."""
+    n = rng.randint(1, 12)
+    p = rng.choice((0.15, 0.4, 0.8))
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n + rng.randint(0, 3), edges)
+
+
 def family_grid(max_n: int) -> list[tuple[str, Graph]]:
     """One labelled graph per family parameter point up to size max_n."""
     out = []

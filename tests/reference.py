@@ -5,6 +5,10 @@ is the independent domination oracle of acceptance criterion 5.
 ``kernel`` is the per-edge kernel as an if-chain (variant 3 larger endpoint
 first), the reference for the engine's symmetric kernel table.
 ``parse_poly`` inverts ``ExpPoly.render``.
+``edge_endpoint_values`` yields each edge with its endpoint values, the
+per-edge view that the reference folds and the tests read.
+``first_zero_edge`` is the first edge in edge order whose kernel is 0, by a
+per-edge scan, the reference for the edge that ``InverseUndefined`` names.
 ``edge_scan_census`` counts the edge partition of a degree-determined source
 edge by edge, from the definitions in ``topoidx.functionals``' docstring.
 ``closeness_per_vertex`` is closeness from one BFS per vertex, the
@@ -34,7 +38,7 @@ from topoidx.errors import (
     VertexOutOfRange,
 )
 from topoidx.exact import ExpPoly, Rat, RatLike, exact_sqrt, general_pow
-from topoidx.functionals import edge_endpoint_values
+from topoidx.functionals import _banhatti_pair, vertex_table
 from topoidx.graph import Graph, bfs_distances
 from topoidx.indices import _STANDALONE, Descriptor
 
@@ -74,6 +78,23 @@ def domination_degrees_bruteforce(g: Graph) -> tuple[int, ...]:
         if len(best) == g.n:
             break
     return tuple(best[u] for u in vertices)
+
+
+def edge_endpoint_values(g: Graph, source: str):
+    """Yield (u, v, value_at_u, value_at_v) for every edge, per source."""
+    if source == "banhatti":
+        for u, v in g.edges:
+            yield (u, v, *_banhatti_pair(g.n, g.degrees[u], g.degrees[v]))
+    else:
+        table = vertex_table(g, source)
+        for u, v in g.edges:
+            yield u, v, table[u], table[v]
+
+
+def first_zero_edge(g: Graph, source: str, variant: int) -> Optional[tuple[int, int]]:
+    """The first edge whose kernel is 0, scanning every edge in edge order; None if none is."""
+    return next(((u, v) for u, v, val_u, val_v in edge_endpoint_values(g, source)
+                 if kernel(variant, val_u, val_v) == 0), None)
 
 
 _TERM_RE = re.compile(r"^(-?\d+)\*x\^(-?\d+)(?:/(\d+))?$")

@@ -18,7 +18,7 @@ import pytest
 
 from topoidx.errors import InverseUndefined, TopoidxError
 from topoidx.exact import ExpPoly
-from topoidx.functionals import domination_degrees, edge_endpoint_values
+from topoidx.functionals import domination_degrees
 from topoidx.graph import generate_family
 from topoidx.indices import (
     SOURCES,
@@ -32,7 +32,7 @@ from topoidx.oracles import oracle_eval, run_verification
 from topoidx import cli
 
 from conftest import family_grid, random_connected_graph
-from reference import domination_degrees_bruteforce
+from reference import domination_degrees_bruteforce, edge_endpoint_values
 
 
 def _finish(name: str, failures: list) -> None:

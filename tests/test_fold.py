@@ -10,6 +10,7 @@ over the neighbourhood-local sources also fold over a disjoint union.
 """
 
 import math
+import random
 import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from topoidx import exact, indices
 from topoidx.errors import InverseUndefined, TopoidxError, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
-from topoidx.functionals import edge_census
+from topoidx.functionals import DOMINATION_MAX, edge_census
 from topoidx.graph import Graph, generate_family
 from topoidx.indices import (
     _KERNELS,
@@ -39,7 +40,7 @@ from topoidx.indices import (
 )
 
 import reference
-from conftest import random_graph
+from conftest import random_graph, random_graph_with_isolated
 
 DESCRIPTORS = [lookup(name)[0] for name in registry_names()]
 GENERAL = [d for d in DESCRIPTORS if d.transform == "general"]
@@ -93,6 +94,38 @@ def test_catalog_matches_per_edge_reference(g):
         for a in powers:
             assert_same(outcome(evaluate_descriptor, g, d, a),
                         outcome(reference.evaluate_descriptor, g, d, a), (d.name, a))
+
+
+def test_refusal_names_the_first_zero_edge(small_families):
+    """Every reciprocal of a zero kernel names the edge that a per-edge scan finds first.
+
+    The engine finds it through the first zero class of the census; the
+    cases include zero classes behind a nonzero first class, and censuses
+    both kept and streamed.
+    """
+    rng = random.Random(2020)
+    cases = [(label, g) for label, g in small_families if g.n <= DOMINATION_MAX]
+    cases += [(f"random{i}", random_graph_with_isolated(rng)) for i in range(60)]
+    later, kept = set(), set()
+    for label, g in cases:
+        for d in DESCRIPTORS:
+            if d.transform not in ("inverse", "general"):
+                continue
+            want = reference.first_zero_edge(g, d.source, d.variant)
+            for a in (None,) if d.transform == "inverse" else (-1, F(-1, 2)):
+                got = outcome(evaluate_descriptor, g, d, a)
+                if want is None:
+                    assert not isinstance(got, InverseUndefined), (label, d.name, a)
+                else:
+                    assert isinstance(got, InverseUndefined), (label, d.name, a, got)
+                    assert got.edge == want, (label, d.name, a)
+            if want is not None:
+                census = edge_census(g, d.source)
+                if _KERNELS[d.variant](*next(iter(census))) != 0:
+                    later.add((label, d.source, d.variant))
+                kept.add(d.source in g._memo)
+    assert {("sunflower(5)", "temperature", 4), ("sunflower(5)", "banhatti", 4)} <= later
+    assert kept == {True, False}
 
 
 @settings(max_examples=100, deadline=None)
@@ -177,9 +210,8 @@ PRODUCT_TERMS = st.lists(st.tuples(TERM, st.integers(1, 40)), max_size=12)
 
 
 def folded(terms, aggregation):
-    """``_fold``'s value over a census whose i-th class has term t and count c."""
-    census = {(i, i): c for i, (_, c) in enumerate(terms)}
-    return _fold(census, lambda i, _: terms[i][0], aggregation, "value")
+    """``_fold``'s value over census classes whose i-th has term t and count c."""
+    return _fold([c for _, c in terms], [t for t, _ in terms], aggregation, "value")
 
 
 def test_integer_sum_is_a_fraction():

@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from topoidx import functionals, indices
-from topoidx.errors import DisconnectedGraph, GraphTooLarge, TopoidxError
+from topoidx.errors import DisconnectedGraph, GraphTooLarge, TopoidxError, UnsupportedEvaluation
 from topoidx.exact import render_value
 from topoidx.functionals import (
     CLOSENESS_BLOCK,
@@ -29,7 +29,7 @@ from topoidx.indices import SOURCES, all_index_names, evaluate
 
 from reference import closeness_per_vertex, domination_degrees_bruteforce, edge_scan_census
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, random_graph_with_isolated
 
 
 def banhatti_pair(g, u, v):
@@ -244,14 +244,6 @@ class TestRegularConstancy:
             assert banhatti_pair(g, u, v) == (F(2 * r - 2, n - r),) * 2
 
 
-def random_graph_with_isolated(rng: random.Random) -> Graph:
-    """G(n, p) on the first vertices, then zero to three isolated vertices."""
-    n = rng.randint(1, 12)
-    p = rng.choice((0.15, 0.4, 0.8))
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
-    return Graph(n + rng.randint(0, 3), edges)
-
-
 class TestDegreeDeterminedCensus:
     """The census mapped from the degree-pair census equals an edge scan.
 
@@ -285,6 +277,17 @@ def kept_censuses(g: Graph) -> set:
     return {key for key in g._memo if isinstance(key, str)}
 
 
+def every_value(g: Graph, a) -> dict:
+    """Each of the 462 names on ``g``, general powers at ``a``; a refusal as its type."""
+    out = {}
+    for name in all_index_names():
+        try:
+            out[name] = evaluate(g, name, a)
+        except TopoidxError as exc:
+            out[name] = type(exc)
+    return out
+
+
 class TestCensusMemo:
     """Each census is built once per graph, kept read-only, and only when small."""
 
@@ -316,10 +319,15 @@ class TestCensusMemo:
             census[(3, 3)] = 0
         assert census == {(3, 3): 5, (3, 5): 5}
 
-    def test_census_past_the_bound_is_not_kept(self, merges):
+    @staticmethod
+    def unkept_kv_graph() -> Graph:
+        """A seeded random graph whose kv census has more than m/2 classes."""
         rng = random.Random(7)
         n = rng.randint(6, 10)
-        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+        return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3])
+
+    def test_census_past_the_bound_is_not_kept(self, merges):
+        g = self.unkept_kv_graph()
         census = edge_census(g, "kv")
         assert 2 * len(census) > g.edge_count
         assert "kv" not in g._memo
@@ -382,25 +390,64 @@ class TestCensusMemo:
             builds.append((aggregation, form) == ("product", "value"))
             return fold(census, term, aggregation, form)
 
-        def values(g):
-            out = {}
-            for name in all_index_names():
-                try:
-                    out[name] = evaluate(g, name, 2)
-                except TopoidxError as exc:
-                    out[name] = type(exc)
-            return out
-
         monkeypatch.setattr(indices, "_fold", counted)
         g = generate_family("sunflower", 4)
-        first = values(g)
+        first = every_value(g, 2)
         keys = {(source, variant) for source in SOURCES for variant in (1, 2, 3, 4)}
         # With an integral general power, all four transforms are powers of one product.
         assert sum(builds) == len(keys) == 28
         assert {key for key in g._memo if isinstance(key, tuple)} == keys
         assert kept_censuses(g) == set(self.SOURCES)
-        assert values(g) == first
+        assert every_value(g, 2) == first
         assert sum(builds) == 28
+
+
+class TestKernelMemo:
+    """One memo entry per (source, variant) holds the kernel's class values and its product's powers."""
+
+    def test_each_kernel_evaluated_once_per_class(self, monkeypatch):
+        calls = dict.fromkeys(indices._KERNELS, 0)
+
+        def counted(variant, kernel):
+            def call(a, b):
+                calls[variant] += 1
+                return kernel(a, b)
+            return call
+
+        for variant, kernel in list(indices._KERNELS.items()):
+            monkeypatch.setitem(indices._KERNELS, variant, counted(variant, kernel))
+        g = generate_family("sunflower", 4)
+        first = every_value(g, 2)
+        classes = sum(len(edge_census(g, source)) for source in SOURCES)
+        assert kept_censuses(g) >= set(SOURCES)
+        assert calls == dict.fromkeys(indices._KERNELS, classes)
+        assert every_value(g, 2) == first
+        assert calls == dict.fromkeys(indices._KERNELS, classes)
+
+    def test_general_square_is_the_hyper_product(self):
+        g = generate_family("sunflower", 4)
+        assert evaluate(g, "MGRLKV1", 2) is evaluate(g, "MHRLKV1")
+        assert evaluate(g, "MGRLKV1(a=-1)") is evaluate(g, "MIRLKV1")
+
+    def test_values_not_kept_past_the_census_bound(self):
+        g = TestCensusMemo.unkept_kv_graph()
+        first = every_value(g, 2)
+        assert "kv" not in g._memo
+        for variant in indices._KERNELS:
+            entry = g._memo[("kv", variant)]
+            assert entry.values is None, variant
+            assert 1 in entry.powers, variant
+        assert every_value(g, 2) == first
+
+    def test_refused_power_is_never_kept(self):
+        g = generate_family("wheel", 4)
+        for _ in range(3):
+            with pytest.raises(UnsupportedEvaluation):
+                evaluate(g, "MGRL1(a=10000000)")
+            assert set(g._memo[("plain", 1)].powers) == {1}
+        assert evaluate(g, "MGRL1(a=3)") == evaluate(g, "MRL1") ** 3
+        assert set(g._memo[("plain", 1)].powers) == {1, 3}
+
 
 class TestClosenessCensus:
     """The census keyed on distance sums equals an edge scan of the closeness table.

@@ -7,7 +7,7 @@ import pytest
 
 from topoidx.errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
-from topoidx.functionals import edge_endpoint_values, vertex_table
+from topoidx.functionals import vertex_table
 from topoidx.graph import Graph, generate_family
 from topoidx.indices import (
     Descriptor,
@@ -17,6 +17,8 @@ from topoidx.indices import (
     lookup,
     registry_names,
 )
+
+from reference import edge_endpoint_values
 
 
 class TestRegistry:
