@@ -24,7 +24,7 @@ import sys
 from fractions import Fraction
 
 from .errors import TopoidxError
-from .exact import ExpPoly, parse_rat, render_value
+from .exact import ExpPoly, parse_rat, render_int, render_value
 from .functionals import VERTEX_TABLES, vertex_table
 from .graph import dumps, family_label, generate_family, read_graph
 from .indices import Descriptor, all_index_names, describe, evaluate, lookup
@@ -166,7 +166,7 @@ def cmd_functionals(args) -> int:
     writer.writerow(("vertex", "value_num", "value_den"))
     for vertex, value in enumerate(table):
         value = Fraction(value)
-        writer.writerow((vertex, value.numerator, value.denominator))
+        writer.writerow((vertex, render_int(value.numerator), render_int(value.denominator)))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Exact scalars and sparse exponent polynomials.
+"""Exact scalars, sparse exponent polynomials, and their text.
 
 Index values are exact rationals.  ``Rat`` is ``fractions.Fraction``, which
 already keeps numerator/denominator reduced with a positive denominator and
@@ -14,10 +14,14 @@ loads ``typing``.
 integral exponent may be stored as an ``int``; it hashes and compares equal
 to the ``Fraction`` of the same value, so the two are one key.  Values are
 immutable once built and safe to share between threads.
+
+``render_value`` writes an index value as text; every int in it goes through
+``render_int``, which writes an int of any size in subquadratic time.
 """
 
 from __future__ import annotations
 
+import decimal
 import math
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
@@ -34,6 +38,13 @@ RatLike = Rat | int
 # benchmark build (8.6 M bits at most); building a power at the cap takes
 # about 40 s with CPython 3.11 on one core.
 POWER_BITS_MAX = 1 << 26
+
+# render_int leaves an int of at most this many bits to str(), and splits a
+# larger one down to pieces of this size.  Such an int has at most 617
+# digits, under the lowest int-to-text digit limit a Python interpreter
+# allows (640, sys.int_info.str_digits_check_threshold), so no output
+# depends on that limit.
+STR_BITS_MAX = 2048
 
 
 # from_coprime(num, den) is Fraction(num, den) for coprime ints num and
@@ -80,6 +91,45 @@ def refuse_past_cap(bits: int) -> None:
     """Raise UnsupportedEvaluation if an exact result of ``bits`` bits is past POWER_BITS_MAX."""
     if bits > POWER_BITS_MAX:
         raise UnsupportedEvaluation(f"power would pass the limit of {POWER_BITS_MAX} bits")
+
+
+def render_int(n: int) -> str:
+    """Decimal text of an int of any size, equal to ``str(n)`` without its digit limit.
+
+    ``str()`` is quadratic in the size of the int on Python 3.11, and it
+    refuses an int past the interpreter's digit limit.  A larger int is split
+    into binary halves, recursively, and rebuilt as an integral ``Decimal``,
+    whose multiplications libmpdec does with a number-theoretic transform;
+    the text is the ``str()`` of that ``Decimal`` (CPython 3.12+ does the
+    same in ``Lib/_pylong.py``; Brent and Zimmermann, *Modern Computer
+    Arithmetic*, section 1.7).  Every step is exact: ``Inexact`` is trapped.
+    """
+    if n.bit_length() <= STR_BITS_MAX:
+        return str(n)
+    powers = {}
+
+    def pow2(w: int) -> decimal.Decimal:  # Decimal(2 ** w), each w built once
+        if w not in powers:
+            if w <= STR_BITS_MAX:
+                powers[w] = decimal.Decimal(1 << w)
+            elif w - 1 in powers:
+                powers[w] = powers[w - 1] * 2
+            else:
+                powers[w] = pow2(w >> 1) * pow2(w - (w >> 1))
+        return powers[w]
+
+    def build(n: int, w: int) -> decimal.Decimal:  # 0 <= n < 2 ** w
+        if w <= STR_BITS_MAX:
+            return decimal.Decimal(n)
+        half = w >> 1
+        hi = n >> half
+        return build(n - (hi << half), half) + build(hi, w - half) * pow2(half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.Emax = decimal.MAX_PREC, decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        text = str(build(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 def check_power(base: RatLike, k: int) -> None:
@@ -252,14 +302,17 @@ class ExpPoly:
         """Canonical text form, bit-exact for golden files.
 
         Terms descend by exponent as ``<coeff>*x^<num>/<den>`` with ``/den``
-        omitted when the exponent is an integer, joined by `` + ``.
+        omitted when the exponent is an integer, joined by `` + ``.  Every int
+        is written by ``render_int``, so terms of any size render.
         """
         if not self._terms:
             return "0"
         parts = []
         for e, c in self.terms():
-            suffix = f"{e.numerator}" if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
-            parts.append(f"{c}*x^{suffix}")
+            suffix = render_int(e.numerator)
+            if e.denominator != 1:
+                suffix += "/" + render_int(e.denominator)
+            parts.append(f"{render_int(c)}*x^{suffix}")
         return " + ".join(parts)
 
     __str__ = render
@@ -275,4 +328,4 @@ def render_value(value) -> str:
     if isinstance(value, float):
         return f"~{value!r}"
     value = Fraction(value)
-    return f"{value.numerator}/{value.denominator}"
+    return f"{render_int(value.numerator)}/{render_int(value.denominator)}"

@@ -5,6 +5,9 @@ is the independent domination oracle of acceptance criterion 5.
 ``kernel`` is the per-edge kernel as an if-chain (variant 3 larger endpoint
 first), the reference for the engine's symmetric kernel table.
 ``parse_poly`` inverts ``ExpPoly.render``.
+``int_text_limit`` sets the interpreter's int-to-text digit limit for a
+block, and ``str_text`` renders an index value with plain ``str()``, the
+reference for ``topoidx.exact.render_int`` under a lifted limit.
 ``edge_endpoint_values`` yields each edge with its endpoint values, the
 per-edge view that the reference folds and the tests read.
 ``first_zero_edge`` is the first edge in edge order whose kernel is 0, by a
@@ -23,8 +26,10 @@ tested against them.  ``product_fold`` is the left-to-right census product
 that preceded the product tree, kept verbatim for the same reason.
 """
 
+import contextlib
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import combinations, repeat
 from typing import Iterable, Optional, Union
@@ -113,6 +118,35 @@ def parse_poly(text: str) -> ExpPoly:
         coeff, num, den = match.groups()
         terms.append((Fraction(int(num), int(den) if den else 1), int(coeff)))
     return ExpPoly(terms)
+
+
+@contextlib.contextmanager
+def int_text_limit(digits: int):
+    """Set the int-to-text digit limit (0 lifts it) inside the block only.
+
+    Python 3.10 has no limit, so there the block runs unchanged.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def str_text(value) -> str:
+    """An index value as ``compute`` prints it, written with plain ``str()``."""
+    if isinstance(value, ExpPoly):
+        terms = [f"{c}*x^{e.numerator}" + ("" if e.denominator == 1 else f"/{e.denominator}")
+                 for e, c in value.terms()]
+        return " + ".join(terms) or "0"
+    if isinstance(value, float):
+        return f"~{value!r}"
+    value = Fraction(value)
+    return f"{value.numerator}/{value.denominator}"
 
 
 def kernel(variant: int, a, b):

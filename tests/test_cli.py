@@ -1,5 +1,7 @@
 """Command-line interface behavior."""
 
+import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +11,8 @@ import time
 import pytest
 
 import topoidx
-from topoidx import cli
+from topoidx import cli, evaluate, generate_family, lookup, write_graph
+from topoidx.errors import TopoidxError
 from topoidx.oracles import (
     _ENTRIES,
     OracleEntry,
@@ -17,6 +20,8 @@ from topoidx.oracles import (
     load_baseline,
     run_verification,
 )
+
+from reference import int_text_limit, str_text
 
 
 def run_cli(capsys, *argv):
@@ -253,6 +258,66 @@ class TestCompute:
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2
         assert "no index named" in err
+
+
+class TestHugeValues:
+    """Commands whose values pass the int-to-text digit limit print them in full.
+
+    Each digest was recorded from the same command with the limit lifted
+    and every int written by plain ``str()``.  The graph files are written
+    under relative names, so the table widths do not depend on the path.
+    """
+
+    @staticmethod
+    def stdout(capsys, monkeypatch, tmp_path, family, params, *argv):
+        monkeypatch.chdir(tmp_path)
+        name = "_".join([family, *map(str, params)]) + ".g"
+        write_graph(generate_family(family, *params), name)
+        code, out, err = run_cli(capsys, argv[0], name, *argv[1:])
+        assert (code, err) == (0, "")
+        return out
+
+    @pytest.mark.parametrize("a, digest", [
+        (10000, "410eaa1fa33b63c8eb58d5a12c6602e6f4986b6afd8ee991e75032a41ec08d07"),
+        (1000000, "674637a26c7133e2a264babf339697b576b2b7b4d81535f99e3225a9057b28f7"),
+    ], ids=["a=10000", "a=1000000"])
+    def test_general_power_on_wheel(self, capsys, monkeypatch, tmp_path, a, digest):
+        out = self.stdout(capsys, monkeypatch, tmp_path, "wheel", (4,),
+                          "compute", "--index", f"GRL1(a={a})")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        if a == 10000:
+            value = evaluate(generate_family("wheel", 4), "GRL1", a)
+            with int_text_limit(0):
+                assert out.split()[-1] == str_text(value)
+
+    def test_functionals_kv_hub(self, capsys, monkeypatch, tmp_path):
+        # The hub of wheel(10000) has kv = 3**10000, 4,772 digits.
+        out = self.stdout(capsys, monkeypatch, tmp_path, "wheel", (10000,),
+                          "functionals", "--source", "kv")
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fba8282b8e5202e8e77d9c40b7c8ae50ad58db17d3eb7d7687e7d6c721b8eaef")
+        with int_text_limit(0):
+            assert out.splitlines()[1] == f"0,{3 ** 10000},1"
+
+    @pytest.mark.parametrize("family, params, digest", [
+        ("sunflower", (100,), "49c977f1a19c56bb011c17443119ab5dbe65db0b1552fb4b4d9c6c789003f2b3"),
+        ("regular", (400, 4), "2ad8ac5cf0a0fa5740d8babde9ef544af1bae834607edb22301c30cfcc6edd22"),
+    ], ids=["sunflower_100", "regular_400_4"])
+    def test_compute_all(self, capsys, monkeypatch, tmp_path, family, params, digest):
+        out = self.stdout(capsys, monkeypatch, tmp_path, family, params,
+                          "compute", "--all", "--format", "csv")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        g = generate_family(family, *params)
+        rows = list(csv.reader(out.splitlines()))[1:]
+        assert len(rows) == 462
+        for _, label, text, _ in rows:
+            try:
+                value = evaluate(g, *lookup(label))
+            except TopoidxError as exc:
+                assert text == f"ERROR:{type(exc).__name__}"
+                continue
+            with int_text_limit(0):
+                assert text == str_text(value), label
 
 
 class TestVerifyCommand:

@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -18,12 +19,14 @@ from topoidx.exact import (
     parse_rat,
     rat,
     rat_pow,
+    render_int,
+    render_value,
     sqrt_sum,
 )
 from topoidx.graph import generate_family
 from topoidx.indices import evaluate
 
-from reference import parse_poly
+from reference import int_text_limit, parse_poly, str_text
 
 
 class TestRationals:
@@ -274,3 +277,62 @@ class TestExpPoly:
         a, b = ExpPoly(a_terms), ExpPoly(b_terms)
         x = F(3, 2)
         assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+
+
+CUT = exact.STR_BITS_MAX
+
+
+class TestRenderInt:
+    """``render_int`` writes the text of ``str()`` at any size, whatever the digit limit."""
+
+    # Up to 8 * CUT bits: past the default limit of 4300 digits, and split
+    # down to the base case over three levels.
+    @given(st.integers(0, 8 * CUT).flatmap(lambda bits: st.integers(-(1 << bits), 1 << bits)))
+    def test_equals_str(self, n):
+        with int_text_limit(0):
+            expected = str(n)
+        assert render_int(n) == expected
+
+    def test_both_sides_of_the_cutoff_and_the_base_case(self):
+        # Widths at CUT go to str(); one past splits once into base cases;
+        # 2 * CUT + 1 splits into CUT and CUT + 1, which splits again.
+        widths = [1, 2, CUT - 1, CUT, CUT + 1, 2 * CUT - 1, 2 * CUT, 2 * CUT + 1, 4 * CUT + 3,
+                  50_000]
+        values = [0, 1, -1]
+        for w in widths:
+            values += [(1 << w) - 1, 1 << w, (1 << w) + 1, -(1 << w), 3 ** (w * 5 // 8)]
+        for k in (1, 2, 19, 616, 617, 618, 640, 641, 1000, 4300, 4301, 20_000):
+            values += [10 ** k - 1, 10 ** k, 10 ** k + 1, -(10 ** k), 1 - 10 ** k]
+        with int_text_limit(0):
+            expected = [str(n) for n in values]
+        assert [render_int(n) for n in values] == expected
+
+    @pytest.mark.parametrize("limit", [640, 4300])
+    def test_text_does_not_depend_on_the_digit_limit(self, limit):
+        # 640 is the lowest limit an interpreter allows; CUT bits stay under it.
+        values = [(1 << CUT) - 1, -(1 << CUT), 10 ** 639, 10 ** 640, 7 ** 2000, -(10 ** 5000)]
+        with int_text_limit(0):
+            expected = [str(n) for n in values]
+        with int_text_limit(limit):
+            assert [render_int(n) for n in values] == expected
+            assert len(str(values[0])) == 617
+
+    def test_million_digit_values(self):
+        k = 10 ** 6
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        assert render_int(10 ** k - 1) == "9" * k
+        assert render_int(10 ** k) == "1" + "0" * k
+        assert render_int(-(10 ** k)) == "-1" + "0" * k
+        assert render_int(4 * 10 ** k + 7) == "4" + "0" * (k - 1) + "7"
+        if limit is not None:  # the renderer never touches the limit
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_huge_values_render(self):
+        exponent = F(10 ** 5000 + 1, 3 ** 11000)
+        poly = ExpPoly({exponent: -(7 ** 9000), 2 ** 20000: 10 ** 4400, -exponent: 1, 0: 3})
+        value = F(-(11 ** 8000), 13 ** 7000)
+        with int_text_limit(0):
+            expected_poly, expected_value = str_text(poly), str_text(value)
+            assert parse_poly(expected_poly) == poly
+        assert poly.render() == render_value(poly) == expected_poly
+        assert render_value(value) == expected_value
