@@ -28,6 +28,7 @@ against the immutable graph, and its small edge censuses kept in its memo.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -61,17 +62,13 @@ def temperatures(g: Graph) -> tuple[Fraction, ...]:
 
 
 def kv_products(g: Graph) -> tuple[int, ...]:
-    out = []
-    for nbrs in g.adj:
-        prod = 1
-        for w in nbrs:
-            prod *= g.degrees[w]
-        out.append(prod)
-    return tuple(out)
+    degree = g.degrees.__getitem__
+    return tuple(math.prod(map(degree, nbrs)) for nbrs in g.adj)
 
 
 def neighbor_degree_sums(g: Graph) -> tuple[int, ...]:
-    return tuple(sum(g.degrees[w] for w in nbrs) for nbrs in g.adj)
+    degree = g.degrees.__getitem__
+    return tuple(sum(map(degree, nbrs)) for nbrs in g.adj)
 
 
 def _banhatti_pair(n: int, d_u: int, d_v: int) -> tuple[Fraction, Fraction]:
@@ -151,11 +148,14 @@ def closeness(g: Graph) -> tuple[Fraction, ...]:
 
 
 def cl_degrees(g: Graph) -> tuple[int, ...]:
-    """Maximum absolute degree deviation from a neighbor; 0 for isolated vertices."""
-    return tuple(
-        max((abs(g.degrees[u] - g.degrees[w]) for w in g.adj[u]), default=0)
-        for u in range(g.n)
-    )
+    """Maximum absolute degree deviation from a neighbor; 0 for isolated vertices.
+
+    Over the neighbours' degrees ``ends``, max |e - d| = max(max(ends) - d, d - min(ends)).
+    """
+    degree = g.degrees.__getitem__
+    ends_of = (list(map(degree, nbrs)) for nbrs in g.adj)
+    return tuple(max(max(ends) - d, d - min(ends)) if ends else 0
+                 for d, ends in zip(g.degrees, ends_of))
 
 
 # --- domination degree -------------------------------------------------------

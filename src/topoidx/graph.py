@@ -25,9 +25,10 @@ class Graph:
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
     # graph up by hash, and hashing the edges costs O(m) each time.  ``_memo``
     # holds what the evaluators derive from the graph: source -> edge census
-    # (``functionals.edge_census``), and (source, variant) -> one kernel's
-    # entry, with its class values, its first zero class and the powers of its
-    # exact product (``indices.evaluate_descriptor``).
+    # (``functionals.edge_census``), where the census is small enough to keep,
+    # and (source, variant) -> one kernel's entry, with its class values and
+    # counts, its first zero edge and the powers of its exact product
+    # (``indices.evaluate_descriptor``), whether or not the census is kept.
     __slots__ = ("n", "edges", "adj", "degrees", "_hash", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):

@@ -234,20 +234,21 @@ def _fold(counts, terms, aggregation: str, form: str):
 class _Kernel:
     """What one kernel derives on one graph, shared by the 16 names that read it.
 
-    Kept in the graph's memo under (source, variant).  Where the census is
-    kept, ``values`` holds the kernel of each class in census order.  Where
-    it is not, ``values`` is None and each call streams the kernel over the
-    rebuilt census, since one value per class would hold about as much
-    memory as keeping that census.  ``zero``, set by the first reciprocal,
-    is the first class in census order whose kernel is 0, or None.
-    ``powers`` is None until a product asks for P, the exact product of the
-    kernel; then it maps e to P**e, with P = ``powers[1]``.
+    Kept in the graph's memo under (source, variant), whether or not the
+    census itself is kept.  ``values`` holds the kernel of each class and
+    ``counts`` the class's edge count, both in census order, so the kernel
+    is evaluated once per class and graph and a census past the memo's
+    bound is built once per entry, not once per name.  ``zero``, set by the
+    first reciprocal, is the first edge, in edge order, whose kernel is 0,
+    or None.  ``powers`` is None until a product asks for P, the exact
+    product of the kernel; then it maps e to P**e, with P = ``powers[1]``.
     """
 
-    __slots__ = ("values", "zero", "powers")
+    __slots__ = ("values", "counts", "zero", "powers")
 
-    def __init__(self, census, kernel, kept: bool):
-        self.values = tuple(starmap(kernel, census)) if kept else None
+    def __init__(self, census, kernel):
+        self.values = tuple(starmap(kernel, census))
+        self.counts = tuple(census.values())
         self.powers = None
 
 
@@ -258,11 +259,13 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
     a float when a non-integer general power forces one.
 
     The 16 names of a (source, variant) read one ``_Kernel`` entry in the
-    graph's memo.  Where the census is kept, the entry holds the kernel's
-    class values, so the kernel is evaluated once per class and graph.  A
-    reciprocal over a zero kernel raises ``InverseUndefined`` on the first
-    edge of the first zero class in census order, which is the first zero
-    edge in edge order.
+    graph's memo, which holds the kernel's class values and counts whether
+    or not the census is kept, so the census is built and the kernel
+    evaluated once per class and graph.  A reciprocal over a zero kernel
+    raises ``InverseUndefined`` on the first edge of the first zero class in
+    census order, which is the first zero edge in edge order; the census is
+    rebuilt to name that class only where one exists, and the edge is kept
+    in the entry.
 
     A value-form product whose per-class term is k**e for an int e (identity,
     hyper, inverse, and general with an integral a) is P**e, since the
@@ -280,41 +283,40 @@ def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
                 f"{d.name} needs its power parameter, e.g. {d.name}(a=3)"
             )
         a = Fraction(a)
-    kernel = _KERNELS[d.variant]
-    census = edge_census(g, d.source)
     key = (d.source, d.variant)
     entry = g._memo.get(key)
     if entry is None:
-        entry = g._memo[key] = _Kernel(census, kernel, d.source in g._memo)
-
-    def kernels():
-        return starmap(kernel, census) if entry.values is None else entry.values
-
+        entry = g._memo[key] = _Kernel(edge_census(g, d.source), _KERNELS[d.variant])
     if d.transform == "inverse" or (d.transform == "general" and a < 0):
         try:
             zero = entry.zero
         except AttributeError:
-            zero = entry.zero = next((pair for pair, k in zip(census, kernels()) if k == 0), None)
+            zero = None
+            if 0 in entry.values:
+                # A rebuilt census lists its classes in the same order.
+                pair = list(edge_census(g, d.source))[entry.values.index(0)]
+                zero = first_edge_of_class(g, d.source, pair)
+            entry.zero = zero
         if zero is not None:
-            raise InverseUndefined(first_edge_of_class(g, d.source, zero))
+            raise InverseUndefined(zero)
     _, transform, exponent = _TRANSFORMS[d.transform]
     if d.aggregation == "product" and d.form == "value":
         if d.transform == "general" and a.denominator == 1:
             exponent = a.numerator
-            for k in kernels():
+            for k in entry.values:
                 check_power(k, exponent)
         if exponent is not None:
             if entry.powers is None:
-                entry.powers = {1: _fold(census.values(), kernels(), "product", "value")}
+                entry.powers = {1: _fold(entry.counts, entry.values, "product", "value")}
             powers = entry.powers
             check_power(powers[1], exponent)
             if exponent not in powers:
                 powers[exponent] = powers[1] ** exponent
             return powers[exponent]
-    terms = kernels()
+    terms = entry.values
     if d.transform != "identity":
         terms = (transform(k, a) for k in terms)
-    return _fold(census.values(), terms, d.aggregation, d.form)
+    return _fold(entry.counts, terms, d.aggregation, d.form)
 
 
 # --- standalone indices -------------------------------------------------------

@@ -14,6 +14,10 @@ per-edge view that the reference folds and the tests read.
 per-edge scan, the reference for the edge that ``InverseUndefined`` names.
 ``edge_scan_census`` counts the edge partition of a degree-determined source
 edge by edge, from the definitions in ``topoidx.functionals``' docstring.
+``kv_products_per_neighbour``, ``neighbor_degree_sums_per_neighbour`` and
+``cl_degrees_per_neighbour`` build the kv, nbd and CL vertex tables with one
+Python step per neighbour, the references for the tables of
+``topoidx.functionals``.
 ``closeness_per_vertex`` is closeness from one BFS per vertex, the
 reference for the multi-source BFS of ``topoidx.functionals.closeness``.
 ``graph_structures`` is the ``Graph`` constructor that canonicalised edges
@@ -276,6 +280,28 @@ def edge_scan_census(g: Graph, source: str) -> dict[tuple, int]:
         key = (a, b) if a <= b else (b, a)
         census[key] = census.get(key, 0) + 1
     return census
+
+
+def kv_products_per_neighbour(g: Graph) -> tuple[int, ...]:
+    out = []
+    for nbrs in g.adj:
+        prod = 1
+        for w in nbrs:
+            prod *= g.degrees[w]
+        out.append(prod)
+    return tuple(out)
+
+
+def neighbor_degree_sums_per_neighbour(g: Graph) -> tuple[int, ...]:
+    return tuple(sum(g.degrees[w] for w in nbrs) for nbrs in g.adj)
+
+
+def cl_degrees_per_neighbour(g: Graph) -> tuple[int, ...]:
+    """Maximum absolute degree deviation from a neighbor; 0 for isolated vertices."""
+    return tuple(
+        max((abs(g.degrees[u] - g.degrees[w]) for w in g.adj[u]), default=0)
+        for u in range(g.n)
+    )
 
 
 def closeness_per_vertex(g: Graph) -> tuple[Fraction, ...]:

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topoidx import functionals, indices
-from topoidx.errors import DisconnectedGraph, GraphTooLarge, TopoidxError, UnsupportedEvaluation
+from topoidx.errors import (
+    DisconnectedGraph, GraphTooLarge, InverseUndefined, TopoidxError, UnsupportedEvaluation,
+)
 from topoidx.exact import render_value
 from topoidx.functionals import (
     CLOSENESS_BLOCK,
@@ -25,9 +27,17 @@ from topoidx.functionals import (
     temperatures,
 )
 from topoidx.graph import Graph, bfs_distances, generate_family
-from topoidx.indices import SOURCES, all_index_names, evaluate
+from topoidx.indices import SOURCES, all_index_names, evaluate, lookup, registry_names
 
-from reference import closeness_per_vertex, domination_degrees_bruteforce, edge_scan_census
+from reference import (
+    cl_degrees_per_neighbour,
+    closeness_per_vertex,
+    domination_degrees_bruteforce,
+    edge_scan_census,
+    first_zero_edge,
+    kv_products_per_neighbour,
+    neighbor_degree_sums_per_neighbour,
+)
 
 from conftest import random_connected_graph, random_graph_with_isolated
 
@@ -231,6 +241,23 @@ class TestDomination:
             assert domination_degrees(g) == domination_degrees_bruteforce(g)
 
 
+@st.composite
+def graphs_with_isolated(draw):
+    """A graph on up to 9 vertices with an edge set drawn at random, then 0 to 3 isolated vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(n + draw(st.integers(0, 3)), edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphs_with_isolated())
+def test_neighbourhood_tables_match_per_neighbour_loops(g):
+    assert kv_products(g) == kv_products_per_neighbour(g)
+    assert neighbor_degree_sums(g) == neighbor_degree_sums_per_neighbour(g)
+    assert cl_degrees(g) == cl_degrees_per_neighbour(g)
+
+
 class TestRegularConstancy:
     @pytest.mark.parametrize("n,r", [(5, 2), (6, 3), (8, 3), (7, 4), (9, 4)])
     def test_all_sources_constant(self, n, r):
@@ -288,19 +315,35 @@ def every_value(g: Graph, a) -> dict:
     return out
 
 
+@pytest.fixture
+def merges(monkeypatch):
+    """The number of ``_merge`` calls so far, one per census build (two for closeness)."""
+    calls = []
+    merge = functionals._merge
+    monkeypatch.setattr(functionals, "_merge", lambda pairs: calls.append(1) or merge(pairs))
+    return calls
+
+
+def counted_kernels(monkeypatch) -> dict:
+    """Patch each kernel to count its calls; returns the counts by variant."""
+    calls = dict.fromkeys(indices._KERNELS, 0)
+
+    def counted(variant, kernel):
+        def call(a, b):
+            calls[variant] += 1
+            return kernel(a, b)
+        return call
+
+    for variant, kernel in list(indices._KERNELS.items()):
+        monkeypatch.setitem(indices._KERNELS, variant, counted(variant, kernel))
+    return calls
+
+
 class TestCensusMemo:
     """Each census is built once per graph, kept read-only, and only when small."""
 
     SOURCES = ("plain", "revan", "temperature", "banhatti", "kv", "nbd", "closeness", "cl",
                "domination")
-
-    @pytest.fixture
-    def merges(self, monkeypatch):
-        """The number of ``_merge`` calls so far, one per census build (two for closeness)."""
-        calls = []
-        merge = functionals._merge
-        monkeypatch.setattr(functionals, "_merge", lambda pairs: calls.append(1) or merge(pairs))
-        return calls
 
     def test_built_once_per_graph(self, merges):
         g = generate_family("sunflower", 5)
@@ -406,16 +449,7 @@ class TestKernelMemo:
     """One memo entry per (source, variant) holds the kernel's class values and its product's powers."""
 
     def test_each_kernel_evaluated_once_per_class(self, monkeypatch):
-        calls = dict.fromkeys(indices._KERNELS, 0)
-
-        def counted(variant, kernel):
-            def call(a, b):
-                calls[variant] += 1
-                return kernel(a, b)
-            return call
-
-        for variant, kernel in list(indices._KERNELS.items()):
-            monkeypatch.setitem(indices._KERNELS, variant, counted(variant, kernel))
+        calls = counted_kernels(monkeypatch)
         g = generate_family("sunflower", 4)
         first = every_value(g, 2)
         classes = sum(len(edge_census(g, source)) for source in SOURCES)
@@ -429,15 +463,37 @@ class TestKernelMemo:
         assert evaluate(g, "MGRLKV1", 2) is evaluate(g, "MHRLKV1")
         assert evaluate(g, "MGRLKV1(a=-1)") is evaluate(g, "MIRLKV1")
 
-    def test_values_not_kept_past_the_census_bound(self):
+    def test_values_kept_past_the_census_bound(self, monkeypatch, merges):
         g = TestCensusMemo.unkept_kv_graph()
-        first = every_value(g, 2)
+        census = edge_census(g, "kv")
+        assert 2 * len(census) > g.edge_count
+        zero_variants = sum(any(kernel(*pair) == 0 for pair in census)
+                            for kernel in indices._KERNELS.values())
+        assert zero_variants == 1  # variant 4, on a class that is not the first
+        merges.clear()
+        calls = counted_kernels(monkeypatch)
+        names = [name for name in registry_names() if lookup(name)[0].source == "kv"]
+        assert len(names) == 64
+
+        def values():
+            out = {}
+            for name in names:
+                try:
+                    out[name] = evaluate(g, name, 2)
+                except TopoidxError as exc:
+                    out[name] = (type(exc), getattr(exc, "edge", None))
+            return out
+
+        first = values()
+        assert values() == first
         assert "kv" not in g._memo
-        for variant in indices._KERNELS:
-            entry = g._memo[("kv", variant)]
-            assert entry.values is None, variant
-            assert 1 in entry.powers, variant
-        assert every_value(g, 2) == first
+        assert all(1 in g._memo[("kv", variant)].powers for variant in indices._KERNELS)
+        # One build per kernel entry, and one more to name the first zero
+        # class of each kernel that has one; never one per name.
+        assert len(merges) == 4 + zero_variants
+        assert calls == dict.fromkeys(indices._KERNELS, len(census))
+        assert sum(isinstance(value, tuple) for value in first.values()) == 4
+        assert first["IRLKV4"] == (InverseUndefined, first_zero_edge(g, "kv", 4))
 
     def test_refused_power_is_never_kept(self):
         g = generate_family("wheel", 4)
