@@ -60,6 +60,10 @@ def cmd_gen(args) -> int:
 
 def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
     rows = []
+    # One value object can answer several names (MGRLKV1(a=2) is MHRLKV1's),
+    # so each is rendered once.  The entry holds the value, so that its id
+    # is not reused by another object during the call.
+    rendered = {}
     for name in names:
         resolved, a = lookup(name)
         if isinstance(resolved, Descriptor):
@@ -73,7 +77,9 @@ def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
         except TopoidxError as exc:
             rows.append((graph_label, label, f"ERROR:{type(exc).__name__}", ""))
             continue
-        rows.append((graph_label, label, render_value(value), _approx(value) if float_out else ""))
+        if id(value) not in rendered:
+            rendered[id(value)] = (value, render_value(value), _approx(value) if float_out else "")
+        rows.append((graph_label, label, *rendered[id(value)][1:]))
     rows.sort(key=lambda r: r[1])
     return rows
 

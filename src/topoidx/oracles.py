@@ -486,7 +486,8 @@ def _family_points(family: str, lo: int, hi: int) -> Iterable[tuple[dict, tuple]
     the same n with r in 2, 3, 4.  kmn takes n in max(lo, 2)..min(hi, 6) with
     m in 1..n.  double_star and windmill ignore lo: double_star takes
     1 <= p <= q <= min(hi, 4), and windmill n in 3..min(hi, 5) with m in 3, 4.
-    Each oracle's stated range drops the grid points it does not cover.
+    k1n takes star's arguments.  Each oracle's stated range drops the grid
+    points it does not cover.
     """
     if family == "regular":
         for n in range(max(lo, 2), hi + 1):
@@ -504,12 +505,14 @@ def _family_points(family: str, lo: int, hi: int) -> Iterable[tuple[dict, tuple]
         for n in range(3, min(hi, 5) + 1):
             for m in (3, 4):
                 yield {"n": n, "m": m}, ("french_windmill", n, m)
-    elif family in ("knn", "k1n"):
+    elif family == "knn":
         for n in range(max(lo, 2), hi + 1):
-            yield {"n": n}, ("complete_bipartite", n if family == "knn" else 1, n)
+            yield {"n": n}, ("complete_bipartite", n, n)
     else:
+        # K_{1,n} is star(n): both families build one graph, with one memo.
+        name = "star" if family == "k1n" else family
         for n in range(max(lo, 2), hi + 1):
-            yield {"n": n}, (family, n)
+            yield {"n": n}, (name, n)
 
 
 def run_verification(

@@ -254,6 +254,24 @@ class TestCompute:
         code, out, err = run_cli(capsys, "compute", str(path), "--index", "RL1")
         assert (code, out, err) == (2, "", "error: line 1: vertex count -3 is negative\n")
 
+    def test_all_renders_each_value_object_once(self, tmp_path, capsys, monkeypatch):
+        # MGRLKV1(a=2) answers with MHRLKV1's object: both rows share one rendering.
+        path = tmp_path / "s5.g"
+        write_graph(generate_family("sunflower", 5), path)
+        rendered = []
+
+        def render(value):
+            rendered.append(value)
+            return topoidx.exact.render_value(value)
+
+        monkeypatch.setattr(cli, "render_value", render)
+        code, out, _ = run_cli(capsys, "compute", str(path), "--all", "--format", "csv")
+        assert code == 0
+        values = [row[2] for row in csv.reader(out.splitlines()[1:])
+                  if not row[2].startswith("ERROR:")]
+        assert len({id(value) for value in rendered}) == len(rendered) < len(values)
+        assert set(map(topoidx.exact.render_value, rendered)) == set(values)
+
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)
         assert code == 2

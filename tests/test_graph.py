@@ -5,7 +5,7 @@ import pickle
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from topoidx.errors import (
@@ -23,6 +23,7 @@ from topoidx.graph import (
     dumps,
     generate_family,
     loads,
+    read_graph,
 )
 from topoidx.indices import evaluate
 
@@ -58,6 +59,25 @@ def edge_lists(draw, valid: bool):
     reversed_dupes = [(v, u) for u, v in draw(st.lists(st.sampled_from(edges), max_size=10))] \
         if edges else []
     return n, draw(st.permutations(edges + reversed_dupes))
+
+
+@st.composite
+def spread_graphs(draw):
+    """(n, edges): a G(k, p) on k <= 12 vertices from ``base``, then 0 to 3 isolated ones.
+
+    ``base`` is 0 or 290, so that some ids are past the ints the interpreter
+    keeps one object of, and each edge holds its own int objects.
+    """
+    base = draw(st.sampled_from([0, 290]))
+    k = draw(st.integers(0, 12))
+    pairs = [(base + u, base + v) for u in range(k) for v in range(u + 1, k)]
+    edges = sorted(draw(st.lists(st.sampled_from(pairs), unique=True))) if pairs else []
+    return base + k + draw(st.integers(0, 3)), [(int(str(u)), int(str(v))) for u, v in edges]
+
+
+def assert_one_object_per_vertex(g):
+    ends = [x for edge in g.edges for x in edge] + [x for nbrs in g.adj for x in nbrs]
+    assert len({id(x) for x in ends}) == len(set(ends)) <= g.n
 
 
 class TestBuildGraph:
@@ -99,6 +119,24 @@ class TestBuildGraph:
         else:
             g = Graph(n, edges)
             assert (g.n, g.edges, g.adj, g.degrees) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(spread_graphs(), st.randoms(use_true_random=False))
+    @example((0, []), None)
+    @example((1, []), None)
+    @example((293, []), None)
+    def test_one_object_per_vertex(self, case, rng):
+        """Sorted canonical pairs, and pairs shuffled, duplicated and reversed."""
+        n, edges = case
+        want = graph_structures(n, edges)
+        mixed = edges + [(int(str(v)), int(str(u))) for u, v in edges[::2]]
+        if rng is not None:
+            rng.shuffle(mixed)
+        for pairs in (edges, mixed):
+            g = Graph(n, pairs)
+            assert (g.n, g.edges, g.adj, g.degrees) == want
+            assert hash(g) == hash((want[0], want[1]))
+            assert_one_object_per_vertex(g)
 
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
@@ -340,6 +378,62 @@ class TestFileFormat:
         for label, g in small_families:
             assert loads(dumps(g, comment=label)) == g
 
+    @settings(max_examples=200, deadline=None)
+    @given(spread_graphs(), st.sampled_from([None, "a comment", "two\nlines"]))
+    @example((0, []), None)
+    @example((1, []), "one vertex")
+    @example((293, []), None)
+    def test_round_trip_shares_one_int_per_vertex(self, case, comment):
+        g = Graph(*case)
+        h = loads(dumps(g, comment))
+        assert (h.n, h.edges, h.adj, h.degrees) == (g.n, g.edges, g.adj, g.degrees)
+        assert h == g and hash(h) == hash(g)
+        assert_one_object_per_vertex(h)
+
+    # Files that break one rule of the shape ``dumps`` writes, each with the
+    # graph or the error text it reads to: the same as the line by line
+    # reader, which names the line of an error.
+    @pytest.mark.parametrize("text,want", [
+        ("n 3\n0 1\n1 1\n", "line 3: self-loop at vertex 1"),
+        ("n 3\n0 1\n1 3\n", "line 3: edge (1, 3) outside 0..2"),
+        ("n 3\n-1 2\n", "line 2: edge (-1, 2) outside 0..2"),
+        ("n 3\n0 1\n0 1\n1 2\n", (3, ((0, 1), (1, 2)))),
+        ("n 4\n1 2\n0 3\n0 1\n", (4, ((0, 1), (0, 3), (1, 2)))),
+        ("n 3\n1 0\n2 1\n", (3, ((0, 1), (1, 2)))),
+        ("n 12\n00 011\n007 11\n", (12, ((0, 11), (7, 11)))),
+        ("n 003\n0 1\n", (3, ((0, 1),))),
+        ("n 6\n+5 0\n", (6, ((0, 5),))),
+        ("n 3\n0\t1\n1 2\n", (3, ((0, 1), (1, 2)))),
+        ("n 3\r\n0 1\r\n1 2\r\n", (3, ((0, 1), (1, 2)))),
+        ("n 3\n0 1\n\n1 2\n", (3, ((0, 1), (1, 2)))),
+        ("n 3\n0 1\n# note\n1 2\n", (3, ((0, 1), (1, 2)))),
+        ("n 3\n0 1 \n1 2\n", (3, ((0, 1), (1, 2)))),
+        ("n 3\n0 1\n1 2", (3, ((0, 1), (1, 2)))),
+        ("n 1000000\n0 12345678\n", "line 2: edge (0, 12345678) outside 0..999999"),
+        ("n 10\n0 00000005\n", (10, ((0, 5),))),
+        ("n 0\n", (0, ())),
+        ("n 0\n0 1\n", "line 2: edge (0, 1) outside 0..-1"),
+        ("n 3\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
+        ("n 3\n0 \u0661\n", (3, ((0, 1),))),
+        ("n 20\n0 1_0\n", (20, ((0, 10),))),
+        ("# a\x0bb\nn 3\n0 1\n", "line 2: expected 'n <count>', got 'b'"),
+    ], ids=["self_loop", "out_of_range", "negative_id", "duplicate_line", "unsorted_lines",
+            "u_above_v", "leading_zeros", "header_leading_zeros", "plus_sign", "tab", "crlf",
+            "blank_in_body", "comment_in_body", "trailing_space", "no_final_newline",
+            "eight_digits", "eight_digits_padded", "n_zero", "n_zero_with_edge", "three_fields",
+            "unicode_digit", "underscore", "vertical_tab_in_comment"])
+    def test_one_broken_rule(self, tmp_path, text, want):
+        path = tmp_path / "g.txt"
+        path.write_bytes(text.encode())
+        if isinstance(want, str):
+            with pytest.raises(GraphFileError) as err:
+                read_graph(path)
+            assert str(err.value) == want
+        else:
+            g = read_graph(path)
+            assert (g.n, g.edges) == want and g == Graph(*want)
+            assert_one_object_per_vertex(g)
+
     def test_comments_and_blanks_ignored(self):
         g = loads("# a comment\n\nn 3\n0 1\n# another\n1 2\n")
         assert g.edges == ((0, 1), (1, 2))
@@ -354,8 +448,17 @@ class TestFileFormat:
         ("", "missing"),
     ])
     def test_parse_errors_cite_lines(self, text, fragment):
-        with pytest.raises(GraphFileError, match=fragment):
+        with pytest.raises(GraphFileError, match=fragment) as err:
             loads(text)
+        assert str(err.value) == {
+            "0 1\n": "line 1: expected 'n <count>', got '0 1'",
+            "n x\n": "line 1: vertex count 'x' is not an integer",
+            "n 3\n0\n": "line 2: expected 'u v', got '0'",
+            "n 3\n0 one\n": "line 2: endpoints '0 one' are not integers",
+            "n 3\n0 3\n": "line 2: edge (0, 3) outside 0..2",
+            "n 3\n1 1\n": "line 2: self-loop at vertex 1",
+            "": "missing 'n <count>' header line",
+        }[text]
 
     def test_vertex_count_cap(self):
         with pytest.raises(GraphFileError) as err:

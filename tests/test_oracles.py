@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from topoidx import generate_family, oracles
 from topoidx.errors import ParamsOutOfStatedRange, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
 from topoidx.oracles import (
@@ -126,9 +127,22 @@ class TestVerification:
                                         "star", "sunflower", "wheel"])
     def test_one_parameter_grid(self, family):
         call = {"knn": lambda n: ("complete_bipartite", n, n),
-                "k1n": lambda n: ("complete_bipartite", 1, n)}.get(family, lambda n: (family, n))
+                "k1n": lambda n: ("star", n)}.get(family, lambda n: (family, n))
         assert list(_family_points(family, 1, 5)) == [({"n": n}, call(n)) for n in (2, 3, 4, 5)]
         assert list(_family_points(family, 7, 9)) == [({"n": n}, call(n)) for n in (7, 8, 9)]
+
+    def test_one_build_per_distinct_graph(self, monkeypatch):
+        # K_{1,n} is star(n): the k1n and star oracles share its build.
+        built = []
+
+        def build(*spec):
+            built.append(generate_family(*spec))
+            return built[-1]
+
+        monkeypatch.setattr(oracles, "generate_family", build)
+        results = run_verification(families=["k1n", "star"], lo=3, hi=6)
+        assert {r.oracle_id.split("/")[1] for r in results} == {"k1n", "star"}
+        assert len(built) == len(set(built)) == 4
 
     def test_two_parameter_grids(self):
         assert list(_family_points("regular", 5, 6)) == [
