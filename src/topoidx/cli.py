@@ -27,7 +27,7 @@ from .errors import TopoidxError
 from .exact import ExpPoly, parse_rat, render_int, render_value
 from .functionals import VERTEX_TABLES, vertex_table
 from .graph import dumps, family_label, generate_family, read_graph
-from .indices import Descriptor, all_index_names, describe, evaluate, lookup
+from .indices import Descriptor, all_index_names, describe, evaluate, lookup, memo_holds
 from .oracles import (
     CONFIRMED,
     DISCREPANT,
@@ -60,9 +60,10 @@ def cmd_gen(args) -> int:
 
 def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
     rows = []
-    # One value object can answer several names (MGRLKV1(a=2) is MHRLKV1's),
-    # so each is rendered once.  The entry holds the value, so that its id
-    # is not reused by another object during the call.
+    # A product power kept in the graph's memo answers several names
+    # (MGRLKV1(a=2) is MHRLKV1's object), so it is rendered once.  Only such
+    # values are kept here by id: they live as long as the graph, so no id is
+    # reused, and no other value is held past its own row.
     rendered = {}
     for name in names:
         resolved, a = lookup(name)
@@ -77,9 +78,12 @@ def _compute_rows(g, graph_label: str, names, general_a, float_out: bool):
         except TopoidxError as exc:
             rows.append((graph_label, label, f"ERROR:{type(exc).__name__}", ""))
             continue
-        if id(value) not in rendered:
-            rendered[id(value)] = (value, render_value(value), _approx(value) if float_out else "")
-        rows.append((graph_label, label, *rendered[id(value)][1:]))
+        text = rendered.get(id(value))
+        if text is None:
+            text = (render_value(value), _approx(value) if float_out else "")
+            if memo_holds(g, value):
+                rendered[id(value)] = text
+        rows.append((graph_label, label, *text))
     rows.sort(key=lambda r: r[1])
     return rows
 

@@ -6,19 +6,12 @@ holds by construction.  A graph holds one int object per vertex, shared by
 its edge pairs and adjacency lists.  Generators number vertices
 deterministically (hub first, then rim, outer, pendant) so file output is
 stable.
-
-``loads`` reads a file in the shape ``dumps`` writes in bulk passes, and any
-other file line by line; both read a valid file to the same graph, and only
-the line loop reports errors, each naming its line.
 """
 
 from __future__ import annotations
 
-import re
 from collections import deque
 from collections.abc import Iterable
-from itertools import chain, repeat, starmap
-from operator import is_not, itemgetter, lt
 
 from .errors import (
     GraphFileError,
@@ -33,7 +26,7 @@ class Graph:
 
     # ``edges`` and ``adj`` share one int object per vertex: with an object per
     # endpoint, the 2*10^4-vertex, 10^5-edge graph held 197,680 ints, and its
-    # size by tracemalloc was 14.8 MB instead of 9.6 MB.
+    # size by tracemalloc was 14.8 MB instead of 9.8 MB.
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
     # graph up by hash, and hashing the edges costs O(m) each time.  ``_memo``
     # holds what the evaluators derive from the graph: source -> edge census
@@ -46,33 +39,25 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidFamilyParams(f"vertex count must be nonnegative, got {n}")
-        pairs = list(edges)
-        if not _sorted_canonical(n, pairs):
-            seen = {}
-            for u, v in pairs:
-                if u == v:
-                    raise SelfLoop(f"self-loop at vertex {u}")
-                if not (0 <= u < n and 0 <= v < n):
-                    raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-                seen[(u, v) if u < v else (v, u)] = None
-            # ``seen`` keeps input order, so sorted input sorts in one linear run.
-            pairs = sorted(seen)
-            del seen  # free the key tuples before the adjacency lists grow
-        # One int object per vertex: every endpoint equal to an earlier one is
-        # replaced by that one, and the edge tuples are rebuilt only if any was.
-        ends = list(chain.from_iterable(pairs))
-        shared = list(map({}.setdefault, ends, ends))
-        smaller, larger = shared[0::2], shared[1::2]
-        if any(map(is_not, shared, ends)):
-            pairs = zip(smaller, larger)
-        del ends, shared
-        canonical = tuple(pairs)
-        # In sorted edge order, vertex x meets its smaller neighbours in
-        # ascending order as the larger endpoint, then its larger ones as the
-        # smaller endpoint: two append passes fill each list in order, no sort.
+        seen = {}
+        intern = {}.setdefault  # the first int object of each vertex value
+        for u, v in edges:
+            u = intern(u, u)
+            v = intern(v, v)
+            if u == v:
+                raise SelfLoop(f"self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
+            seen[(u, v) if u < v else (v, u)] = None
+        # ``seen`` keeps input order, so sorted input sorts in one linear run.  In
+        # sorted edge order, vertex x first receives its smaller neighbours in
+        # ascending order, then its larger ones: no adjacency list needs a sort.
+        canonical = tuple(sorted(seen))
+        del seen, intern  # free the key tuples and the table before the adjacency lists grow
         adj: list[list[int]] = [[] for _ in range(n)]
-        deque(map(list.append, map(adj.__getitem__, larger), smaller), maxlen=0)
-        deque(map(list.append, map(adj.__getitem__, smaller), larger), maxlen=0)
+        for u, v in canonical:
+            adj[u].append(v)
+            adj[v].append(u)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", canonical)
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
@@ -105,19 +90,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-def _sorted_canonical(n: int, pairs: list) -> bool:
-    """True when ``pairs`` are 2-tuples (u, v) with 0 <= u < v < n, strictly increasing.
-
-    Such a list is already the graph's edge tuple, with nothing to check or
-    deduplicate edge by edge; every pass here runs in C.
-    """
-    return (all(map(isinstance, pairs, repeat(tuple)))
-            and set(map(len, pairs)) <= {2}
-            and all(starmap(lt, pairs))
-            and all(map(lt, pairs, pairs[1:]))
-            and (not pairs or (0 <= pairs[0][0] and max(map(itemgetter(1), pairs)) < n)))
 
 
 def bfs_distances(g: Graph, source: int) -> list:
@@ -283,48 +255,7 @@ def dumps(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _loads_edge_lines(text: str) -> Graph | None:
-    """The graph of a file in the shape ``dumps`` writes, read in bulk passes.
-
-    That shape is comment lines, the line ``n N`` and ``u v`` lines, each
-    ended by a newline, with N and the ids written in 1 to 7 ASCII digits.
-    The body is split once and each distinct token converted once, so the
-    ends of the edges share one int object per vertex; no table over all N
-    ids is built.  Returns None for any other file, and for a self-loop or an
-    id out of range: ``loads``' line loop reads those, and alone names the
-    line of an error.
-    """
-    head = re.match(r"(?:#.*\n)*n ([0-9]{1,7})\n", text)
-    # A comment line holding a line break other than "\n" is two lines to the loop.
-    if (head is None or int(head[1]) > MAX_VERTICES or not text.endswith("\n")
-            or len(head[0].splitlines()) != head[0].count("\n")):
-        return None
-    body = text[head.end():]
-    if not body.isascii():
-        return None
-    tokens = body.split()
-    # Without the digits, the body must read " \n" once per line: one space
-    # and one newline after each pair of tokens, so no token is empty and no
-    # other character or separator appears.
-    if body.encode().translate(None, b"0123456789") != b" \n" * (len(tokens) // 2):
-        return None
-    del body
-    distinct = set(tokens)
-    if max(map(len, distinct), default=0) > 7:
-        return None
-    value = dict(zip(distinct, map(int, distinct)))
-    ends = iter(list(map(value.__getitem__, tokens)))
-    del tokens, distinct, value
-    try:
-        return Graph(int(head[1]), zip(ends, ends))
-    except (SelfLoop, VertexOutOfRange):
-        return None
-
-
 def loads(text: str) -> Graph:
-    g = _loads_edge_lines(text)
-    if g is not None:
-        return g
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -346,6 +346,13 @@ _STANDALONE = {
 SPECIAL_NAMES = tuple(_STANDALONE)
 
 
+def memo_holds(g: Graph, value) -> bool:
+    """True when ``value`` is a product power kept in ``g``'s memo: it lives as long as ``g``."""
+    return any(any(p is value for p in entry.powers.values())
+               for entry in g._memo.values()
+               if isinstance(entry, _Kernel) and entry.powers is not None)
+
+
 def _evaluate_standalone(g: Graph, name: str):
     source, rational, radicand, _ = _STANDALONE[name]
     census = edge_census(g, source)

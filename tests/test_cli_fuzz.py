@@ -57,13 +57,6 @@ MALFORMED = {
     "long_n": b"n " + b"9" * 5000 + b"\n",
     "negative_n": b"n -3\n0 1\n",
     "out_of_range": b"n 3\n0 5\n",
-    "late_out_of_range": b"n 3\n0 1\n1 3\n",
-    "negative_id": b"n 3\n-1 2\n",
-    "eight_digit_id": b"n 1000000\n0 12345678\n",
-    "edge_past_n_zero": b"n 0\n0 1\n",
-    "three_fields": b"n 3\n0 1 2\n",
-    "crlf_self_loop": b"n 3\r\n0 1\r\n1 1\r\n",
-    "vertical_tab_in_comment": b"# a\x0bb\nn 3\n0 1\n",
     "not_int": b"n 3\n0 x\n",
     "one_field": b"n 3\n0\n",
     "no_header": b"0 1\n",

@@ -463,6 +463,16 @@ class TestKernelMemo:
         assert evaluate(g, "MGRLKV1", 2) is evaluate(g, "MHRLKV1")
         assert evaluate(g, "MGRLKV1(a=-1)") is evaluate(g, "MIRLKV1")
 
+    def test_memo_holds_only_product_powers(self):
+        g = generate_family("sunflower", 4)
+        assert indices.memo_holds(g, evaluate(g, "MHRLKV1"))
+        assert indices.memo_holds(g, evaluate(g, "MGRLKV1(a=3)"))
+        # Sums and exponential-form products are built afresh on each call.
+        for name in ("RLKV1", "MRLKV1exp", "RLKV1exp"):
+            value = evaluate(g, name)
+            assert value is not evaluate(g, name) and not indices.memo_holds(g, value)
+        assert not indices.memo_holds(generate_family("sunflower", 4), evaluate(g, "MHRLKV1"))
+
     def test_values_kept_past_the_census_bound(self, monkeypatch, merges):
         g = TestCensusMemo.unkept_kv_graph()
         census = edge_census(g, "kv")

@@ -23,7 +23,6 @@ from topoidx.graph import (
     dumps,
     generate_family,
     loads,
-    read_graph,
 )
 from topoidx.indices import evaluate
 
@@ -389,50 +388,6 @@ class TestFileFormat:
         assert (h.n, h.edges, h.adj, h.degrees) == (g.n, g.edges, g.adj, g.degrees)
         assert h == g and hash(h) == hash(g)
         assert_one_object_per_vertex(h)
-
-    # Files that break one rule of the shape ``dumps`` writes, each with the
-    # graph or the error text it reads to: the same as the line by line
-    # reader, which names the line of an error.
-    @pytest.mark.parametrize("text,want", [
-        ("n 3\n0 1\n1 1\n", "line 3: self-loop at vertex 1"),
-        ("n 3\n0 1\n1 3\n", "line 3: edge (1, 3) outside 0..2"),
-        ("n 3\n-1 2\n", "line 2: edge (-1, 2) outside 0..2"),
-        ("n 3\n0 1\n0 1\n1 2\n", (3, ((0, 1), (1, 2)))),
-        ("n 4\n1 2\n0 3\n0 1\n", (4, ((0, 1), (0, 3), (1, 2)))),
-        ("n 3\n1 0\n2 1\n", (3, ((0, 1), (1, 2)))),
-        ("n 12\n00 011\n007 11\n", (12, ((0, 11), (7, 11)))),
-        ("n 003\n0 1\n", (3, ((0, 1),))),
-        ("n 6\n+5 0\n", (6, ((0, 5),))),
-        ("n 3\n0\t1\n1 2\n", (3, ((0, 1), (1, 2)))),
-        ("n 3\r\n0 1\r\n1 2\r\n", (3, ((0, 1), (1, 2)))),
-        ("n 3\n0 1\n\n1 2\n", (3, ((0, 1), (1, 2)))),
-        ("n 3\n0 1\n# note\n1 2\n", (3, ((0, 1), (1, 2)))),
-        ("n 3\n0 1 \n1 2\n", (3, ((0, 1), (1, 2)))),
-        ("n 3\n0 1\n1 2", (3, ((0, 1), (1, 2)))),
-        ("n 1000000\n0 12345678\n", "line 2: edge (0, 12345678) outside 0..999999"),
-        ("n 10\n0 00000005\n", (10, ((0, 5),))),
-        ("n 0\n", (0, ())),
-        ("n 0\n0 1\n", "line 2: edge (0, 1) outside 0..-1"),
-        ("n 3\n0 1 2\n", "line 2: expected 'u v', got '0 1 2'"),
-        ("n 3\n0 \u0661\n", (3, ((0, 1),))),
-        ("n 20\n0 1_0\n", (20, ((0, 10),))),
-        ("# a\x0bb\nn 3\n0 1\n", "line 2: expected 'n <count>', got 'b'"),
-    ], ids=["self_loop", "out_of_range", "negative_id", "duplicate_line", "unsorted_lines",
-            "u_above_v", "leading_zeros", "header_leading_zeros", "plus_sign", "tab", "crlf",
-            "blank_in_body", "comment_in_body", "trailing_space", "no_final_newline",
-            "eight_digits", "eight_digits_padded", "n_zero", "n_zero_with_edge", "three_fields",
-            "unicode_digit", "underscore", "vertical_tab_in_comment"])
-    def test_one_broken_rule(self, tmp_path, text, want):
-        path = tmp_path / "g.txt"
-        path.write_bytes(text.encode())
-        if isinstance(want, str):
-            with pytest.raises(GraphFileError) as err:
-                read_graph(path)
-            assert str(err.value) == want
-        else:
-            g = read_graph(path)
-            assert (g.n, g.edges) == want and g == Graph(*want)
-            assert_one_object_per_vertex(g)
 
     def test_comments_and_blanks_ignored(self):
         g = loads("# a comment\n\nn 3\n0 1\n# another\n1 2\n")
