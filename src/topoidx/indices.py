@@ -115,38 +115,45 @@ def _tree(op, items: list, identity):
     return items[0] if items else identity
 
 
-# A product whose numerators and denominators share factors is reduced either
-# by refining its distinct values into a coprime base, about (values)**2
-# small gcds, or by one gcd of its two sides, about (bits)**2.  Refining is
-# the cheaper when the product's bit estimate is at least this many times its
-# number of distinct values: the two took equal time at 380 to 600 bits per
-# value on temperature and Banhatti products of random graphs (CHANGES.md).
-REFINE_BITS_PER_VALUE = 512
+# The primes below 1024, by a sieve: kernel values share mostly these, so
+# ``_coprime_base`` divides them out of every value first.
+_SMALL_PRIMES = sorted(set(range(2, 1024)).difference(*(range(p * p, 1024, p) for p in range(2, 32))))
 
 
 def _coprime_base(exponents: dict[int, int]) -> dict[int, int]:
-    """Rewrite the product of b**e over ``exponents`` over pairwise coprime bases.
+    """Rewrite the product of b**e over ``exponents`` so that its two sides are coprime.
 
-    A value sharing a factor g with a base b is split as
-    x**e * b**f = g**(e+f) * (x/g)**e * (b/g)**f until every base is
-    coprime to the others.  Each split divides the product of the values
-    pending and kept by g > 1, so the loop ends.  Bases of exponent 0 drop out.
+    Every prime below 1024 is divided out of each value into its own exponent.
+    A cofactor left that shares a factor g with a base b of the opposite sign
+    is split as x**e * b**f = g**(e+f) * (x/g)**e * (b/g)**f, and one equal
+    to a base of its own sign adds to that exponent; bases of one sign need
+    not be coprime.  Each split divides the product of the values pending and
+    kept by g > 1, so the loop ends.  A small prime may keep exponent 0.
     """
-    base: dict[int, int] = {}
-    pending = list(exponents.items())
+    primes: dict[int, int] = {}
+    pending = []
+    for x, e in exponents.items():
+        for p in _SMALL_PRIMES:
+            while x % p == 0:
+                x //= p
+                primes[p] = primes.get(p, 0) + e
+        pending.append((x, e))
+    sides = {True: {}, False: {}}  # by the sign of the exponent: True for > 0
     while pending:
         x, e = pending.pop()
         if x == 1 or e == 0:
             continue
-        for b in base:
+        other = sides[e < 0]
+        for b in other:
             g = math.gcd(x, b)
             if g > 1:
-                f = base.pop(b)
+                f = other.pop(b)
                 pending += [(g, e + f), (x // g, e), (b // g, f)]
                 break
         else:
-            base[x] = e
-    return base
+            same = sides[e > 0]
+            same[x] = same.get(x, 0) + e
+    return {**primes, **sides[True], **sides[False]}
 
 
 def _power_product(powers: list[tuple[int, int]]) -> int:
@@ -178,10 +185,9 @@ def _exact_product(terms: list) -> Fraction:
     Equal values merge into one signed exponent, +c for a numerator and -c
     for a denominator; the product is negative when the counts of the
     negative terms add up to an odd number.
-    Each side is built by ``_power_product``.  Where both sides have bases,
-    they are refined into a coprime base first if that is the cheaper
-    reduction (``REFINE_BITS_PER_VALUE``), or else reduced by one ``gcd``.
-    Coprime sides, and a side of 1, make the Fraction without a ``gcd``.
+    Where both sides have bases, ``_coprime_base`` makes them coprime.  Each
+    side is then built by ``_power_product``, and the Fraction is made
+    without a ``gcd``.
     """
     if not all(t for t, _ in terms):
         return Fraction(0)
@@ -198,13 +204,12 @@ def _exact_product(terms: list) -> Fraction:
         exponents[t.denominator] = exponents.get(t.denominator, 0) - c
     exponents.pop(1, None)
     sides = _sides(exponents)
-    mixed = all(sides)
-    if mixed and len(exponents) * REFINE_BITS_PER_VALUE <= bits:
-        sides, mixed = _sides(_coprime_base(exponents)), False
+    if all(sides):
+        sides = _sides(_coprime_base(exponents))
     num, den = map(_power_product, sides)
     if odd:
         num = -num
-    return Fraction(num, den) if mixed else from_coprime(num, den)
+    return from_coprime(num, den)
 
 
 def _fold(counts, terms, aggregation: str, form: str):

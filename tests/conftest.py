@@ -40,6 +40,24 @@ def random_graph(seed: int, n: int, m: int) -> Graph:
     return Graph(n, sorted(edges))
 
 
+def preferential_attachment(n: int, k: int, seed: int = 5) -> Graph:
+    """PA(n, k): each vertex v >= k joins k distinct earlier vertices.
+
+    Each is drawn from the list of all edge endpoints so far, or from
+    0..v-1 while that list is empty, so the degrees are heavy-tailed.
+    """
+    rng = random.Random(seed)
+    edges, ends = [], []
+    for v in range(k, n):
+        targets = set()
+        while len(targets) < k:
+            targets.add(rng.choice(ends) if ends else rng.randrange(v))
+        for u in sorted(targets):
+            edges.append((u, v))
+            ends += (u, v)
+    return Graph(n, edges)
+
+
 def random_graph_with_isolated(rng: random.Random) -> Graph:
     """G(n, p) on the first vertices, then zero to three isolated vertices."""
     n = rng.randint(1, 12)

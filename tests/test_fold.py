@@ -15,13 +15,12 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
-from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from topoidx import exact, indices
+from topoidx import exact
 from topoidx.errors import InverseUndefined, TopoidxError, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
 from topoidx.functionals import DOMINATION_MAX, edge_census
@@ -40,7 +39,7 @@ from topoidx.indices import (
 )
 
 import reference
-from conftest import random_graph, random_graph_with_isolated
+from conftest import preferential_attachment, random_graph, random_graph_with_isolated
 
 DESCRIPTORS = [lookup(name)[0] for name in registry_names()]
 GENERAL = [d for d in DESCRIPTORS if d.transform == "general"]
@@ -317,7 +316,21 @@ EXACT_TERM = (st.builds(F, st.integers(-60, 60), st.integers(1, 60))
 EXACT_TERMS = st.lists(st.tuples(EXACT_TERM, st.integers(1, 40)), max_size=12)
 
 
-@pytest.mark.parametrize("bits_per_value", [0, 10**18], ids=["refined", "reduced"])
+def pa_kernel_censuses(test):
+    """``test`` with each temperature and Banhatti kernel census of PA(300, 3) as an example.
+
+    Each has 300 to 400 distinct numerators and denominators, which share
+    primes below 1024 that ``_coprime_base`` divides out.
+    """
+    g = preferential_attachment(300, 3)
+    for source in ("temperature", "banhatti"):
+        census = edge_census(g, source)
+        for variant in _KERNELS:
+            test = example(terms=[(reference.kernel(variant, *pair), c)
+                                  for pair, c in census.items()])(test)
+    return test
+
+
 @settings(max_examples=300, deadline=None)
 @given(terms=EXACT_TERMS)
 @example(terms=[(3, 2), (0, 1), (F(-5, 7), 3)])  # a zero term
@@ -326,15 +339,12 @@ EXACT_TERMS = st.lists(st.tuples(EXACT_TERM, st.integers(1, 40)), max_size=12)
 @example(terms=[(F(2, 3), 3), (F(-3, 2), 3), (F(9, 4), 2), (F(4, 9), 2)])  # to -1
 @example(terms=[(F(4, 9), 2), (F(4, 9), 3), (F(12, 35), 5), (F(35, 6), 2), (12, 1)])  # repeats
 @example(terms=[(F(1, 6), 2), (F(1, 10), 3)])  # unit numerators
+@example(terms=[(F(1031 * 1033, 1039), 2), (F(1039 * 1049, 1031), 3)])  # split across sides
 @example(terms=[])
-def test_exact_product_matches_left_to_right(bits_per_value, terms):
-    """The merged product equals the left-to-right product, in lowest terms.
-
-    ``bits_per_value`` 0 refines every product with both signs of exponent
-    into a coprime base; 10**18 reduces each by one final gcd.
-    """
-    with mock.patch.object(indices, "REFINE_BITS_PER_VALUE", bits_per_value):
-        got = folded(terms, "product")
+@pa_kernel_censuses
+def test_exact_product_matches_left_to_right(terms):
+    """The merged product equals the left-to-right product, in lowest terms."""
+    got = folded(terms, "product")
     want = reference.product_fold(terms)
     assert type(got) is F and got == want, (terms, got, want)
     assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1, (terms, got)
@@ -447,16 +457,29 @@ def test_cold_int_products_make_no_gcd(family, name):
 def test_cold_products_reduce_nothing_longer_than_a_term():
     """A cold product makes no gcd with an operand longer than its longest term part.
 
-    On this G(2000, 10**4) the temperature and Banhatti products have about
-    400 distinct values and 3.6e5 bits, so the crossover refines them into
-    a coprime base; their one final gcd had two operands of that size.
+    The sum name builds each kernel entry first, with its own Fraction
+    arithmetic, so only the product fold's gcds are recorded.  On the
+    G(2000, 10**4) the temperature and Banhatti products have about 400
+    distinct values and 3.6e5 bits; reducing them with one final gcd had
+    two operands of that size.
     """
-    g = random_graph(5, 2000, 10**4)
-    for name in ("MRL1", "MTRL1", "MBRL1"):
-        d = lookup(name)[0]
-        longest = max(max(abs(k.numerator).bit_length(), k.denominator.bit_length())
-                      for k in (_KERNELS[d.variant](*pair) for pair in edge_census(g, d.source)))
-        with gcd_operands() as calls:
-            evaluate(Graph(g.n, g.edges), name)
-        widest = max((abs(x).bit_length() for args in calls for x in args), default=0)
-        assert widest <= longest, (name, widest, longest)
+    graphs = {"wheel(4)": generate_family("wheel", 4),
+              "sunflower(5)": generate_family("sunflower", 5),
+              "regular(12, 3)": generate_family("regular", 12, 3),
+              "PA(300, 3)": preferential_attachment(300, 3),
+              "G(2000, 10**4)": random_graph(5, 2000, 10**4)}
+    names = ["MRL1"] + [f"M{stem}{variant}" for stem in ("TRL", "BRL") for variant in _KERNELS]
+    wide = []
+    for label, g in graphs.items():
+        for name in names:
+            d = lookup(name)[0]
+            longest = max(max(abs(k.numerator).bit_length(), k.denominator.bit_length())
+                          for k in (_KERNELS[d.variant](*pair) for pair in edge_census(g, d.source)))
+            cold = Graph(g.n, g.edges)
+            evaluate(cold, name[1:])
+            with gcd_operands() as calls:
+                evaluate(cold, name)
+            widest = max((abs(x).bit_length() for args in calls for x in args), default=0)
+            if widest > longest:
+                wide.append((label, name, widest, longest))
+    assert not wide, wide
