@@ -15,12 +15,13 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction as F
 from itertools import combinations
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from topoidx import exact
+from topoidx import exact, indices
 from topoidx.errors import InverseUndefined, TopoidxError, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
 from topoidx.functionals import DOMINATION_MAX, edge_census
@@ -331,6 +332,7 @@ def pa_kernel_censuses(test):
     return test
 
 
+@pytest.mark.parametrize("small_primes", [[], indices._SMALL_PRIMES], ids=["refined", "reduced"])
 @settings(max_examples=300, deadline=None)
 @given(terms=EXACT_TERMS)
 @example(terms=[(3, 2), (0, 1), (F(-5, 7), 3)])  # a zero term
@@ -342,9 +344,15 @@ def pa_kernel_censuses(test):
 @example(terms=[(F(1031 * 1033, 1039), 2), (F(1039 * 1049, 1031), 3)])  # split across sides
 @example(terms=[])
 @pa_kernel_censuses
-def test_exact_product_matches_left_to_right(terms):
-    """The merged product equals the left-to-right product, in lowest terms."""
-    got = folded(terms, "product")
+def test_exact_product_matches_left_to_right(small_primes, terms):
+    """The merged product equals the left-to-right product, in lowest terms.
+
+    ``reduced`` divides the primes below 1024 out of every value first;
+    ``refined`` divides out none, so refining across the two sides alone
+    has to make them coprime.
+    """
+    with mock.patch.object(indices, "_SMALL_PRIMES", small_primes):
+        got = folded(terms, "product")
     want = reference.product_fold(terms)
     assert type(got) is F and got == want, (terms, got, want)
     assert got.denominator > 0 and math.gcd(got.numerator, got.denominator) == 1, (terms, got)
