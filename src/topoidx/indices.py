@@ -61,13 +61,13 @@ _KERNELS = {
     4: lambda a, b: abs(a - b) * a * b,
 }
 
-# transform -> (name prefix, per-class term from the kernel k and the general
-# power a, the int e with term k**e, or None where it depends on a).
+# transform -> (name prefix, the int e with per-class term k**e for the
+# kernel k, or None where e is the general power a).
 _TRANSFORMS = {
-    "identity": ("", lambda k, a: k, 1),
-    "hyper": ("H", lambda k, a: k * k, 2),
-    "inverse": ("I", lambda k, a: Fraction(1) / Fraction(k), -1),
-    "general": ("G", lambda k, a: general_pow(Fraction(k), a), None),
+    "identity": ("", 1),
+    "hyper": ("H", 2),
+    "inverse": ("I", -1),
+    "general": ("G", None),
 }
 TRANSFORMS = tuple(_TRANSFORMS)
 AGGREGATIONS = ("sum", "product")
@@ -243,84 +243,83 @@ class _Kernel:
     census itself is kept.  ``values`` holds the kernel of each class and
     ``counts`` the class's edge count, both in census order, so the kernel
     is evaluated once per class and graph and a census past the memo's
-    bound is built once per entry, not once per name.  ``zero``, set by the
-    first reciprocal, is the first edge, in edge order, whose kernel is 0,
-    or None.  ``powers`` is None until a product asks for P, the exact
+    bound is built once per entry, not once per name.  ``zero`` is the first
+    edge, in edge order, whose kernel is 0, or None: the first edge of the
+    first zero class in census order, named from the census the entry is
+    built from.  ``powers`` is None until a product asks for P, the exact
     product of the kernel; then it maps e to P**e, with P = ``powers[1]``.
     """
 
     __slots__ = ("values", "counts", "zero", "powers")
 
-    def __init__(self, census, kernel):
-        self.values = tuple(starmap(kernel, census))
+    def __init__(self, g: Graph, source: str, variant: int):
+        census = edge_census(g, source)
+        self.values = tuple(starmap(_KERNELS[variant], census))
         self.counts = tuple(census.values())
+        self.zero = None
+        if 0 in self.values:
+            pair = list(census)[self.values.index(0)]
+            self.zero = first_edge_of_class(g, source, pair)
         self.powers = None
 
 
 def evaluate_descriptor(g: Graph, d: Descriptor, a: Rat | None = None):
-    """Fold the transformed kernel over the edge census of ``g``.
+    """Fold the kernel's power k**e over the edge census of ``g``.
 
     Returns an exact Fraction (value form), an ExpPoly (exponential form), or
     a float when a non-integer general power forces one.
 
-    The 16 names of a (source, variant) read one ``_Kernel`` entry in the
-    graph's memo, which holds the kernel's class values and counts whether
-    or not the census is kept, so the census is built and the kernel
-    evaluated once per class and graph.  A reciprocal over a zero kernel
-    raises ``InverseUndefined`` on the first edge of the first zero class in
-    census order, which is the first zero edge in edge order; the census is
-    rebuilt to name that class only where one exists, and the edge is kept
-    in the entry.
+    Each name resolves to one exponent e: 1, 2 or -1 for identity, hyper and
+    inverse, and a for general where a is integral; a non-integral a leaves
+    e None, the only path to ``exact.general_pow`` and floats.  The 16 names
+    of a (source, variant) read one ``_Kernel`` entry in the graph's memo,
+    which holds the kernel's class values and counts whether or not the
+    census is kept, so the census is built and the kernel evaluated once per
+    class and graph.  A negative power of a zero kernel raises
+    ``InverseUndefined`` on the entry's first zero edge.
 
-    A value-form product whose per-class term is k**e for an int e (identity,
-    hyper, inverse, and general with an integral a) is P**e, since the
-    product of (k**e)**c is (product of k**c)**e.  P and each power asked
-    for are kept in the entry, so ``MGRL1(a=2)`` is the object that
-    ``MHRL1`` built; a refusal is not kept.  An int power of a reduced
-    Fraction is reduced already, and ``Fraction.__pow__`` builds it without a
-    ``gcd``.  On every call, each class's k**e and then P**e itself go
-    through ``exact.check_power`` before P**e is built or read, so a power
+    A value-form product with an int e is P**e, since the product of
+    (k**e)**c is (product of k**c)**e.  P and each power asked for are kept
+    in the entry, so ``MGRL1(a=2)`` is the object that ``MHRL1`` built; a
+    refusal is not kept.  An int power of a reduced Fraction is reduced
+    already, and ``Fraction.__pow__`` builds it without a ``gcd``.  Any other
+    name folds k**e per class, an int for an int k and e >= 0.  A general
+    name sends each class's k**e through ``exact.check_power`` first, and a
+    product sends P**e through it before P**e is built or read, so a power
     the per-class fold would refuse is refused here too, even where P is 0.
     """
+    e = _TRANSFORMS[d.transform][1]
     if d.transform == "general":
         if a is None:
             raise UnsupportedEvaluation(
                 f"{d.name} needs its power parameter, e.g. {d.name}(a=3)"
             )
         a = Fraction(a)
+        if a.denominator == 1:
+            e = a.numerator
     key = (d.source, d.variant)
     entry = g._memo.get(key)
     if entry is None:
-        entry = g._memo[key] = _Kernel(edge_census(g, d.source), _KERNELS[d.variant])
-    if d.transform == "inverse" or (d.transform == "general" and a < 0):
-        try:
-            zero = entry.zero
-        except AttributeError:
-            zero = None
-            if 0 in entry.values:
-                # A rebuilt census lists its classes in the same order.
-                pair = list(edge_census(g, d.source))[entry.values.index(0)]
-                zero = first_edge_of_class(g, d.source, pair)
-            entry.zero = zero
-        if zero is not None:
-            raise InverseUndefined(zero)
-    _, transform, exponent = _TRANSFORMS[d.transform]
+        entry = g._memo[key] = _Kernel(g, d.source, d.variant)
+    if entry.zero is not None and (a if e is None else e) < 0:
+        raise InverseUndefined(entry.zero)
+    if e is None:
+        return _fold(entry.counts, (general_pow(Fraction(k), a) for k in entry.values),
+                     d.aggregation, d.form)
+    if d.transform == "general":
+        for k in entry.values:
+            check_power(k, e)
     if d.aggregation == "product" and d.form == "value":
-        if d.transform == "general" and a.denominator == 1:
-            exponent = a.numerator
-            for k in entry.values:
-                check_power(k, exponent)
-        if exponent is not None:
-            if entry.powers is None:
-                entry.powers = {1: _fold(entry.counts, entry.values, "product", "value")}
-            powers = entry.powers
-            check_power(powers[1], exponent)
-            if exponent not in powers:
-                powers[exponent] = powers[1] ** exponent
-            return powers[exponent]
+        if entry.powers is None:
+            entry.powers = {1: _fold(entry.counts, entry.values, "product", "value")}
+        powers = entry.powers
+        check_power(powers[1], e)
+        if e not in powers:
+            powers[e] = powers[1] ** e
+        return powers[e]
     terms = entry.values
-    if d.transform != "identity":
-        terms = (transform(k, a) for k in terms)
+    if e != 1:
+        terms = (k**e for k in (terms if e >= 0 else map(Fraction, terms)))
     return _fold(entry.counts, terms, d.aggregation, d.form)
 
 
@@ -353,9 +352,8 @@ SPECIAL_NAMES = tuple(_STANDALONE)
 
 def memo_holds(g: Graph, value) -> bool:
     """True when ``value`` is a product power kept in ``g``'s memo: it lives as long as ``g``."""
-    return any(any(p is value for p in entry.powers.values())
-               for entry in g._memo.values()
-               if isinstance(entry, _Kernel) and entry.powers is not None)
+    return any(p is value for entry in g._memo.values() if isinstance(entry, _Kernel)
+               for p in (entry.powers or {}).values())
 
 
 def _evaluate_standalone(g: Graph, name: str):

@@ -29,6 +29,8 @@ from topoidx.graph import Graph, generate_family
 from topoidx.indices import (
     _KERNELS,
     _fold,
+    AGGREGATIONS,
+    FORMS,
     SOURCES,
     SPECIAL_NAMES,
     Descriptor,
@@ -90,7 +92,7 @@ def test_kernels_symmetric_and_match_reference(a, b):
 @given(graphs())
 def test_catalog_matches_per_edge_reference(g):
     for d in DESCRIPTORS:
-        powers = (2, 3, -1, -2) if d.transform == "general" else (None,)
+        powers = (0, 1, 2, 3, -1, -2) if d.transform == "general" else (None,)
         for a in powers:
             assert_same(outcome(evaluate_descriptor, g, d, a),
                         outcome(reference.evaluate_descriptor, g, d, a), (d.name, a))
@@ -148,6 +150,46 @@ def test_non_integer_powers_match_to_last_bits(g):
                 assert math.isclose(got, want, rel_tol=1e-12), (d.name, a, got, want)
             else:
                 assert_same(got, want, (d.name, a))
+
+
+# Every transform of every kernel, with the general names at a spread of
+# integral powers, and the general power equal to each named transform.
+POWERS = [(t, None) for t in ("identity", "hyper", "inverse")] + [
+    ("general", a) for a in (-2, -1, 0, 1, 2, 3)]
+GENERAL_NAMED = {1: "identity", 2: "hyper", -1: "inverse"}
+
+
+@EXAMPLES
+@given(graphs())
+def test_metamorphic_forms_and_named_powers(g):
+    """The exponential forms follow from the value sum, and general(1, 2, -1) is each named transform.
+
+    Over all 28 kernels: Xexp(1) == m, Xexp'(1) == X and MXexp == x^X, or,
+    where X is refused, both exponential forms are refused alike; and
+    general at a = 1, 2 and -1 gives identity, hyper and inverse in all four
+    aggregation x form pairs, down to the exception type and edge.
+    """
+    for source in SOURCES:
+        for variant in _KERNELS:
+            seen = {}
+            for transform, a in POWERS:
+                context = (source, variant, transform, a, g.edges)
+                out = seen[transform, a] = {
+                    (agg, form): outcome(evaluate_descriptor, g,
+                                         Descriptor(source, variant, transform, agg, form), a)
+                    for agg in AGGREGATIONS for form in FORMS}
+                value = out["sum", "value"]
+                sum_exp, product_exp = out["sum", "exponential"], out["product", "exponential"]
+                if isinstance(value, Exception):
+                    assert_same(sum_exp, value, context)
+                    assert_same(product_exp, value, context)
+                    continue
+                assert sum_exp.evaluate(1) == g.edge_count, context
+                assert sum_exp.derivative_at_one() == value, context
+                assert product_exp == ExpPoly.monomial(value), context
+            for a, transform in GENERAL_NAMED.items():
+                for pair, want in seen[transform, None].items():
+                    assert_same(seen["general", a][pair], want, (source, variant, a, pair, g.edges))
 
 
 @EXAMPLES

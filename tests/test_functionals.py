@@ -498,9 +498,9 @@ class TestKernelMemo:
         assert values() == first
         assert "kv" not in g._memo
         assert all(1 in g._memo[("kv", variant)].powers for variant in indices._KERNELS)
-        # One build per kernel entry, and one more to name the first zero
-        # class of each kernel that has one; never one per name.
-        assert len(merges) == 4 + zero_variants
+        # One build per kernel entry, never one per name: the entry names its
+        # first zero edge from the census it is built from.
+        assert len(merges) == 4
         assert calls == dict.fromkeys(indices._KERNELS, len(census))
         assert sum(isinstance(value, tuple) for value in first.values()) == 4
         assert first["IRLKV4"] == (InverseUndefined, first_zero_edge(g, "kv", 4))

@@ -90,6 +90,30 @@ def test_compute_all_csv_float(label, tmp_path, capsys):
     assert _sha(out.replace(path + ",", label + ",")) == digest
 
 
+# The pins above all run the general names at a = 2.  These run them at a
+# negative, a zero, the first and a non-integral power: the reciprocal
+# refusals on zero kernels, k**0, the identity exponent and the float path.
+COMPUTE_ALL_GENERAL = {
+    ("sunflower_3", "-2"): "919ba1596e5d8e365d9aa7b709f5053fc349e584d862cd947284724448a8de6a",
+    ("sunflower_3", "0"): "f3e485c23b8c77594b8c01f2d8514807a2986c3ed1d3e73777e702288c90d8f8",
+    ("sunflower_3", "1"): "dedb4178af75050f704cc3979f27a0c2068f76bddd87230248c722ce5fa98fe4",
+    ("sunflower_3", "-3/2"): "a7c12b27ad3064f2ef505875609dcf08ec53cab0f6785c91178af7f8676faa7c",
+    ("sampled_40_120_13", "-2"): "b9ca2c03b3674bc5ba5e15d36ba6cba0ef3d2ecf6f1e49664fca07c273faa5d4",
+    ("sampled_40_120_13", "0"): "452088d29177bf1132b3c84b12e44b9a53b03e7bcb4ca11f9afeef25cb2f410c",
+    ("sampled_40_120_13", "1"): "122ea9d1fd51cc2562126a8a9c8c12ea9d54947d25b38c55376a092af991ddb7",
+    ("sampled_40_120_13", "-3/2"): "718d38011ae21b1e28f89893078a9fb71a99da049b7edc83ef0d1bc53f5f011d",
+}
+
+
+@pytest.mark.parametrize("label, a", sorted(COMPUTE_ALL_GENERAL))
+def test_compute_all_general_powers(label, a, tmp_path, capsys):
+    g, _ = COMPUTE_ALL[label]
+    path = str(tmp_path / f"{label}.g")
+    write_graph(g, path)
+    out = _stdout(capsys, "compute", path, "--all", "--format", "csv", "--float", f"--general-a={a}")
+    assert _sha(out.replace(path + ",", label + ",")) == COMPUTE_ALL_GENERAL[label, a]
+
+
 # The name path: every kv catalog name and every standalone name, inline
 # (a=...) on general, non-general and standalone names, aliases, and case and
 # underscores.  The stem of each name picks its source.
