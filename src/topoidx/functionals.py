@@ -312,17 +312,24 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
 def first_edge_of_class(g: Graph, source: str, pair: tuple) -> tuple[int, int]:
     """The first edge, in edge order, of the class ``pair`` of ``edge_census(g, source)``.
 
-    A degree-determined class is the union of the degree-pair classes that
-    map to it, and the plain census keeps the order of first edges, so its
-    first edge is that of the first degree-pair class mapping to ``pair``;
-    the edges are then compared by int degrees.  Any other source compares
-    the edges' vertex-table values with ``pair``.
+    Returns the graph's own edge tuple.  A degree-determined source maps
+    one sorted pair of positive degrees to each of its classes: revan and
+    temperature are one to one in the degree, and a Banhatti pair (x, y)
+    gives d(u) + d(v) by 1/x + 1/y = (2n - 2)/(d(u) + d(v) - 2) - 1 and then
+    each degree by x = (d(u) + d(v) - 2)/(n - d(u)), or is (0, 0) on degrees
+    1 and 1 alone.  So the class's degree pair is found among the sorted
+    pairs of distinct positive degrees, at most 2m of them since those
+    degrees add up to at most 2m, with no plain census; the edges are then
+    compared by int degrees.
+    Any other source compares the edges' vertex-table values with ``pair``.
     """
     table, (lo, hi) = g.degrees, pair
     if source in _DEGREE_MAPPED:
         ends = _ends_of_degrees(g, source)
-        lo, hi = next(degrees for degrees in edge_census(g, "plain")
-                      if ends(*degrees) in (pair, pair[::-1]))
+        degrees = sorted(set(g.degrees) - {0})
+        lo, hi = next((d_u, d_v) for i, d_u in enumerate(degrees) for d_v in degrees[i:]
+                      if ends(d_u, d_v) in (pair, pair[::-1]))
     elif source != "plain":
         table = vertex_table(g, source)
-    return next((u, v) for u, v in g.edges if (table[u], table[v]) in ((lo, hi), (hi, lo)))
+    return next(edge for edge in g.edges
+                if (table[edge[0]], table[edge[1]]) in ((lo, hi), (hi, lo)))

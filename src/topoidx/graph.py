@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
+from itertools import groupby
 
 from .errors import (
     GraphFileError,
@@ -26,7 +27,12 @@ class Graph:
 
     # ``edges`` and ``adj`` share one int object per vertex: with an object per
     # endpoint, the 2*10^4-vertex, 10^5-edge graph held 197,680 ints, and its
-    # size by tracemalloc was 14.8 MB instead of 9.8 MB.
+    # size by tracemalloc was 14.8 MB instead of 9.7 MB.  An input pair that is
+    # a tuple in order on those objects is kept as the edge, so ``loads``, with
+    # one int per distinct token, and a copy rebuilt from ``edges`` make no
+    # second tuple per edge.  Reading that graph's file traces a peak of
+    # 13.9 MB; with a tuple per edge made twice, an int per token, a dict of
+    # the edges and every line of the file split at once, it was 25.3 MB.
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
     # graph up by hash, and hashing the edges costs O(m) each time.  ``_memo``
     # holds what the evaluators derive from the graph: source -> edge census
@@ -39,21 +45,29 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidFamilyParams(f"vertex count must be nonnegative, got {n}")
-        seen = {}
+        pairs = []
         intern = {}.setdefault  # the first int object of each vertex value
-        for u, v in edges:
-            u = intern(u, u)
-            v = intern(v, v)
+        for edge in edges:
+            a, b = edge
+            u = intern(a, a)
+            v = intern(b, b)
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            seen[(u, v) if u < v else (v, u)] = None
-        # ``seen`` keeps input order, so sorted input sorts in one linear run.  In
+            # An input tuple already in order, on the interned ints, is the edge.
+            if u > v:
+                edge = (v, u)
+            elif u is not a or v is not b or type(edge) is not tuple:
+                edge = (u, v)
+            pairs.append(edge)
+        # Sorted input sorts in one linear run, and the stable sort puts each
+        # repeated edge right after its first copy, which ``groupby`` keeps.  In
         # sorted edge order, vertex x first receives its smaller neighbours in
         # ascending order, then its larger ones: no adjacency list needs a sort.
-        canonical = tuple(sorted(seen))
-        del seen, intern  # free the key tuples and the table before the adjacency lists grow
+        pairs.sort()
+        canonical = tuple(edge for edge, _ in groupby(pairs))
+        del pairs, intern  # free the list and the table before the adjacency lists grow
         adj: list[list[int]] = [[] for _ in range(n)]
         for u, v in canonical:
             adj[u].append(v)
@@ -255,14 +269,32 @@ def dumps(g: Graph, comment: str | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Characters per slice of the text that ``_lines`` splits at a time.
+LINE_CHUNK = 1 << 13
+
+
+def _lines(text: str):
+    """``text.splitlines()``, one slice of about ``LINE_CHUNK`` characters at a time.
+
+    Each slice ends just after a newline, which ends a line whether alone or
+    in CRLF, so the slices split into the same lines as the whole text; only
+    one slice's lines are held at once.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + LINE_CHUNK) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def loads(text: str) -> Graph:
     n = None
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+    vertex = {}  # endpoint token -> its vertex, once the token has passed its checks
+    for lineno, raw in enumerate(_lines(text), start=1):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if n is None:
             if len(fields) != 2 or fields[0] != "n":
                 raise GraphFileError(f"line {lineno}: expected 'n <count>', got {raw!r}")
@@ -278,17 +310,26 @@ def loads(text: str) -> Graph:
             continue
         if len(fields) != 2:
             raise GraphFileError(f"line {lineno}: expected 'u v', got {raw!r}")
-        try:
-            u, v = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise GraphFileError(f"line {lineno}: endpoints {raw!r} are not integers")
-        if u == v:
+        a, b = fields
+        u = vertex.get(a)
+        v = vertex.get(b)
+        if u is None or v is None:
+            try:
+                u, v = int(a), int(b)
+            except ValueError:
+                raise GraphFileError(f"line {lineno}: endpoints {raw!r} are not integers")
+            if u == v:
+                raise GraphFileError(f"line {lineno}: self-loop at vertex {u}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphFileError(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
+            u = vertex.setdefault(a, u)
+            v = vertex.setdefault(b, v)
+        elif u == v:
             raise GraphFileError(f"line {lineno}: self-loop at vertex {u}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphFileError(f"line {lineno}: edge ({u}, {v}) outside 0..{n - 1}")
         edges.append((u, v))
     if n is None:
         raise GraphFileError("missing 'n <count>' header line")
+    del vertex  # not held while the graph is built
     return Graph(n, edges)
 
 
@@ -299,6 +340,7 @@ def read_graph(path) -> Graph:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise GraphFileError(f"{path}: byte offset {exc.start}: not UTF-8 text") from None
+    del data  # not held while the text is read
     return loads(text)
 
 

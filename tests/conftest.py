@@ -97,3 +97,22 @@ def family_grid(max_n: int) -> list[tuple[str, Graph]]:
 @pytest.fixture(scope="session")
 def small_families() -> list[tuple[str, Graph]]:
     return family_grid(8)
+
+
+def messy_copy(g: Graph, seed: int) -> str:
+    """A graph file of ``g`` as people write them, which must read as ``g``.
+
+    CRLF line ends, comment and blank lines, and the edges shuffled, about
+    half of them reversed and a quarter of them repeated.
+    """
+    rng = random.Random(seed)
+    pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+    pairs += [(v, u) if rng.random() < 0.5 else (u, v) for u, v in rng.sample(pairs, len(pairs) // 4)]
+    rng.shuffle(pairs)
+    extras = ["", "   ", "# a comment", "  # an indented comment"]
+    lines = ["# a messy copy", "", f"n {g.n}", "# edges"]
+    for i, (u, v) in enumerate(pairs, start=1):
+        lines.append(f"{u} {v}")
+        if i % 20 == 0:
+            lines.append(extras[i // 20 % len(extras)])
+    return "\r\n".join(lines) + "\r\n"

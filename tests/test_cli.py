@@ -6,12 +6,14 @@ import json
 import os
 import subprocess
 import sys
+import random
 import time
+from itertools import combinations
 
 import pytest
 
 import topoidx
-from topoidx import cli, evaluate, generate_family, lookup, write_graph
+from topoidx import Graph, cli, evaluate, generate_family, lookup, write_graph
 from topoidx.errors import TopoidxError
 from topoidx.oracles import (
     _ENTRIES,
@@ -22,6 +24,8 @@ from topoidx.oracles import (
 )
 
 from reference import int_text_limit, str_text
+
+from conftest import messy_copy
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +275,24 @@ class TestCompute:
                   if not row[2].startswith("ERROR:")]
         assert len({id(value) for value in rendered}) == len(rendered) < len(values)
         assert set(map(topoidx.exact.render_value, rendered)) == set(values)
+
+    def test_messy_copy_computes_the_same_bytes(self, tmp_path, capsys, monkeypatch):
+        """A CRLF, commented, shuffled copy with repeated and reversed edges reads as the file.
+
+        Both files have one name in two directories, so the graph column matches too.
+        """
+        g = Graph(40, random.Random(13).sample(list(combinations(range(40), 2)), 120))
+        outputs = []
+        for folder, write in (("clean", lambda path: write_graph(g, path)),
+                              ("messy", lambda path: path.write_bytes(messy_copy(g, 4).encode()))):
+            (tmp_path / folder).mkdir()
+            write(tmp_path / folder / "sampled40.txt")
+            monkeypatch.chdir(tmp_path / folder)
+            outputs.append(run_cli(capsys, "compute", "sampled40.txt", "--all", "--format", "csv"))
+        assert b"\r\n# a comment\r\n" in (tmp_path / "messy" / "sampled40.txt").read_bytes()
+        assert outputs[0] == outputs[1]
+        code, out, err = outputs[0]
+        assert (code, err) == (0, "") and out.count("\n") == 1 + 462
 
     def test_mutually_missing_index(self, w3_file, capsys):
         code, _, err = run_cli(capsys, "compute", w3_file)

@@ -21,6 +21,7 @@ from topoidx.functionals import (
     closeness,
     domination_degrees,
     edge_census,
+    first_edge_of_class,
     kv_products,
     neighbor_degree_sums,
     revan_degrees,
@@ -33,6 +34,7 @@ from reference import (
     cl_degrees_per_neighbour,
     closeness_per_vertex,
     domination_degrees_bruteforce,
+    edge_endpoint_values,
     edge_scan_census,
     first_zero_edge,
     kv_products_per_neighbour,
@@ -298,6 +300,25 @@ class TestDegreeDeterminedCensus:
         for label, g in small_families:
             self.assert_census(g, label)
 
+    @staticmethod
+    def assert_first_edges(g, label):
+        """Each class's first edge is the one an edge scan meets first, as the graph's own tuple."""
+        for source in ("plain", "revan", "temperature", "banhatti", "kv", "nbd"):
+            first = {}
+            for u, v, a, b in edge_endpoint_values(g, source):
+                first.setdefault((a, b) if a <= b else (b, a), (u, v))
+            assert list(first) == list(edge_census(g, source)), (label, source)
+            for pair, edge in first.items():
+                got = first_edge_of_class(g, source, pair)
+                assert got == edge and any(got is e for e in g.edges), (label, source, pair)
+
+    def test_first_edge_of_each_class(self, small_families):
+        rng = random.Random(2020)
+        graphs = [(f"random{i}", random_graph_with_isolated(rng)) for i in range(100)]
+        assert any(0 in g.degrees and g.edges for _, g in graphs)
+        for label, g in graphs + small_families:
+            self.assert_first_edges(g, label)
+
 
 def kept_censuses(g: Graph) -> set:
     """The sources whose census ``g`` keeps in its memo; kernel products are keyed by tuples."""
@@ -505,6 +526,20 @@ class TestKernelMemo:
         assert sum(isinstance(value, tuple) for value in first.values()) == 4
         assert first["IRLKV4"] == (InverseUndefined, first_zero_edge(g, "kv", 4))
 
+    def test_zero_edge_is_named_without_the_plain_census(self, merges):
+        g = generate_family("path", 4)
+        assert 2 * len(edge_census(g, "plain")) > g.edge_count  # (1, 2) x 2, (2, 2) x 1
+        merges.clear()
+        assert evaluate(g, "RRL4") == 4  # 2 * |1 - 2| * 1 * 2, and 0 on the middle edge
+        # The plain census, then revan mapped from it; naming the zero edge builds none.
+        assert len(merges) == 2
+        with pytest.raises(InverseUndefined) as err:
+            evaluate(g, "IRRL4")
+        assert len(merges) == 2
+        zero = g._memo[("revan", 4)].zero
+        assert zero == err.value.edge == first_zero_edge(g, "revan", 4) == (1, 2)
+        assert any(zero is edge for edge in g.edges)
+
     def test_refused_power_is_never_kept(self):
         g = generate_family("wheel", 4)
         for _ in range(3):
@@ -537,6 +572,25 @@ class TestClosenessCensus:
     def test_every_family(self, small_families):
         for label, g in small_families:
             self.assert_census(g, label)
+
+    @staticmethod
+    def assert_first_edges(g, label):
+        """Each class's first edge is the one an edge scan meets first, as the graph's own tuple."""
+        for source in ("plain", "revan", "temperature", "banhatti", "kv", "nbd"):
+            first = {}
+            for u, v, a, b in edge_endpoint_values(g, source):
+                first.setdefault((a, b) if a <= b else (b, a), (u, v))
+            assert list(first) == list(edge_census(g, source)), (label, source)
+            for pair, edge in first.items():
+                got = first_edge_of_class(g, source, pair)
+                assert got == edge and any(got is e for e in g.edges), (label, source, pair)
+
+    def test_first_edge_of_each_class(self, small_families):
+        rng = random.Random(2020)
+        graphs = [(f"random{i}", random_graph_with_isolated(rng)) for i in range(100)]
+        assert any(0 in g.degrees and g.edges for _, g in graphs)
+        for label, g in graphs + small_families:
+            self.assert_first_edges(g, label)
 
     def test_random_connected_graphs(self):
         rng = random.Random(1212)

@@ -1,13 +1,16 @@
 """Graph construction, generators (with their edge-type censuses), and file IO."""
 
 import copy
+import gc
 import pickle
+import tracemalloc
 from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from topoidx import graph
 from topoidx.errors import (
     GraphFileError,
     InvalidFamilyParams,
@@ -28,7 +31,7 @@ from topoidx.indices import evaluate
 
 from reference import graph_structures
 
-from conftest import is_connected
+from conftest import is_connected, messy_copy, random_graph
 
 
 def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
@@ -136,6 +139,19 @@ class TestBuildGraph:
             assert (g.n, g.edges, g.adj, g.degrees) == want
             assert hash(g) == hash((want[0], want[1]))
             assert_one_object_per_vertex(g)
+
+    def test_ordered_tuples_on_interned_ints_are_the_edges(self):
+        first = (300, 301)
+        later = (int("300"), 302)  # equal to the interned 300, not the same object
+        edges = [first, later, [301, 302], (303, 302), first, (300, 301)]
+        g = Graph(400, edges)
+        assert g.edges == ((300, 301), (300, 302), (301, 302), (302, 303))
+        assert g.edges[0] is first
+        assert all(type(edge) is tuple for edge in g.edges)
+        assert not any(edge is item for edge in g.edges[1:] for item in edges)
+        assert_one_object_per_vertex(g)
+        copied = copy.copy(g)
+        assert all(x is y for x, y in zip(copied.edges, g.edges))
 
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
@@ -424,6 +440,74 @@ class TestFileFormat:
             loads(f"# header\n\nn {MAX_VERTICES + 1}\n0 1\n")
         g = loads("n 1000\n0 1\n")
         assert (g.n, g.edges) == (1000, ((0, 1),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="ab \n\r\x0b\x85\u2028", max_size=60), st.integers(1, 8))
+    @example("0 1\r\n1 2\r\n", 3)
+    @example("0 1\r\r\n\n", 3)
+    def test_lines_split_a_slice_at_a_time(self, text, chunk):
+        """Slices end after a newline, so they split as the text does, CRLF across a slice too."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "LINE_CHUNK", chunk)
+            assert list(graph._lines(text)) == text.splitlines()
+
+    @pytest.mark.parametrize("text,message", [
+        # Each token is known by the last line, which checks only the self-loop.
+        ("n 3\n0 1\n1 2\n1 1\n", "line 4: self-loop at vertex 1"),
+        ("n 400\n0 1\n300 301\n301 300\n300 300\n", "line 5: self-loop at vertex 300"),
+        # One known token beside a new one: both are checked as on a first line.
+        ("n 3\n0 1\n1 2\n2 3\n", "line 4: edge (2, 3) outside 0..2"),
+        ("n 3\n0 1\n1 2\n3 2\n", "line 4: edge (3, 2) outside 0..2"),
+        ("n 3\n0 1\n1 -1\n", "line 3: edge (1, -1) outside 0..2"),
+        ("n 3\n0 1\n1 x\n", "line 3: endpoints '1 x' are not integers"),
+        # Aliases of one vertex: not the same token, still the same vertex.
+        ("n 3\n0 1\n1 01\n", "line 3: self-loop at vertex 1"),
+        ("n 3\n0 1\n01 2\n+1 1\n", "line 4: self-loop at vertex 1"),
+        ("n 400\n300 301\n0300 301\n300 +300\n", "line 4: self-loop at vertex 300"),
+    ])
+    def test_errors_after_known_tokens(self, text, message):
+        with pytest.raises(GraphFileError) as err:
+            loads(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("base", [1, 300])
+    def test_aliases_read_as_one_vertex(self, base):
+        """``1``, ``01`` and ``+1`` are three tokens of one vertex, past the small ints too."""
+        a, b, c = base, base + 1, base + 2
+        g = loads(f"n 400\n{a} {b}\n0{a} {c}\n+{b} {c}\n {c}  0{a} \n+{a} 0{b}\n")
+        assert g.edges == ((a, b), (a, c), (b, c))
+        assert g.degrees[a:a + 3] == (2, 2, 2)
+        assert_one_object_per_vertex(g)
+
+    def test_messy_copy_reads_as_the_graph(self):
+        g = random_graph(11, 60, 200)
+        text = messy_copy(g, 1)
+        assert "\r\n\r\n" in text and "\r\n   \r\n" in text and "\r\n  # an indented" in text
+        h = loads(text)
+        assert h == g and (h.adj, h.degrees) == (g.adj, g.degrees)
+        assert_one_object_per_vertex(h)
+
+    def test_read_peaks_below_1_9_times_the_graph(self):
+        """Traced memory while a file is read stays under 1.9 times the graph it builds.
+
+        This G(2000, 10^4) graph traces at about 1 MB.  Reading it peaked at 2.2
+        times that with an int per token, a tuple per edge in the reader and
+        another in the constructor, all the file's lines split at once and a
+        dict of the edges.  With one int per distinct token, one tuple per
+        edge, a list of the edges and the lines split a slice at a time, it
+        peaks at about 1.4 times.
+        """
+        text = dumps(random_graph(3, 2000, 10**4))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            g = loads(text)
+            size, peak = (traced - before for traced in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert (g.n, g.edge_count) == (2000, 10**4)
+        assert peak <= 1.9 * size, (size, peak)
 
     @pytest.mark.parametrize("text", ["n -3\n", "# header\nn -3\n0 1\n"])
     def test_negative_vertex_count(self, text):
