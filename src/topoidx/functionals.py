@@ -274,6 +274,21 @@ def _merge(weighted_pairs) -> dict[tuple, int]:
     return census
 
 
+def _scan(g: Graph, table) -> dict[tuple, int]:
+    """Count the edges of ``g`` by sorted pair of their ends' ``table`` values.
+
+    The census ``_merge`` adds from a count of 1 per edge, in one loop over the edges.
+    """
+    census: dict[tuple, int] = {}
+    count = census.get
+    for u, v in g.edges:
+        a = table[u]
+        b = table[v]
+        key = (a, b) if a <= b else (b, a)
+        census[key] = count(key, 0) + 1
+    return census
+
+
 def edge_census(g: Graph, source: str) -> MappingProxyType:
     """Count edges by sorted pair of endpoint values (the edge partition).
 
@@ -293,17 +308,15 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
         return memo[source]
     if source in _DEGREE_MAPPED:
         ends = _ends_of_degrees(g, source)
-        pairs = ((*ends(d_u, d_v), c) for (d_u, d_v), c in edge_census(g, "plain").items())
+        census = _merge((*ends(d_u, d_v), c) for (d_u, d_v), c in edge_census(g, "plain").items())
     elif source == "closeness":
         table = vertex_table(g, source)
         sums = [(g.n - 1) * c.denominator // c.numerator for c in table]
         value = dict(zip(sums, table))
-        by_sum = _merge((sums[u], sums[v], 1) for u, v in g.edges)
-        pairs = ((value[s_u], value[s_v], c) for (s_u, s_v), c in by_sum.items())
+        census = _merge((value[s_u], value[s_v], c) for (s_u, s_v), c in _scan(g, sums).items())
     else:
-        table = vertex_table(g, source)
-        pairs = ((table[u], table[v], 1) for u, v in g.edges)
-    census = MappingProxyType(_merge(pairs))
+        census = _scan(g, vertex_table(g, source))
+    census = MappingProxyType(census)
     if 2 * len(census) <= g.edge_count:
         memo[source] = census
     return census
@@ -312,12 +325,13 @@ def edge_census(g: Graph, source: str) -> MappingProxyType:
 def first_edge_of_class(g: Graph, source: str, pair: tuple) -> tuple[int, int]:
     """The first edge, in edge order, of the class ``pair`` of ``edge_census(g, source)``.
 
-    Returns the graph's own edge tuple.  A degree-determined source maps
-    one sorted pair of positive degrees to each of its classes: revan and
-    temperature are one to one in the degree, and a Banhatti pair (x, y)
-    gives d(u) + d(v) by 1/x + 1/y = (2n - 2)/(d(u) + d(v) - 2) - 1 and then
-    each degree by x = (d(u) + d(v) - 2)/(n - d(u)), or is (0, 0) on degrees
-    1 and 1 alone.  So the class's degree pair is found among the sorted
+    Returns a new (u, v) tuple of the graph's own vertex int objects.  A
+    degree-determined source maps one sorted pair of positive degrees to
+    each of its classes: revan and temperature are one to one in the
+    degree, and a Banhatti pair (x, y) gives d(u) + d(v) by
+    1/x + 1/y = (2n - 2)/(d(u) + d(v) - 2) - 1 and then each degree by
+    x = (d(u) + d(v) - 2)/(n - d(u)), or is (0, 0) on degrees 1 and 1
+    alone.  So the class's degree pair is found among the sorted
     pairs of distinct positive degrees, at most 2m of them since those
     degrees add up to at most 2m, with no plain census; the edges are then
     compared by int degrees.
@@ -331,5 +345,4 @@ def first_edge_of_class(g: Graph, source: str, pair: tuple) -> tuple[int, int]:
                       if ends(d_u, d_v) in (pair, pair[::-1]))
     elif source != "plain":
         table = vertex_table(g, source)
-    return next(edge for edge in g.edges
-                if (table[edge[0]], table[edge[1]]) in ((lo, hi), (hi, lo)))
+    return next((u, v) for u, v in g.edges if (table[u], table[v]) in ((lo, hi), (hi, lo)))

@@ -3,7 +3,7 @@
 Vertices are 0..n-1.  Edges are canonical sorted pairs, deduplicated, with
 self-loops rejected, so adjacency is symmetric and the handshake identity
 holds by construction.  A graph holds one int object per vertex, shared by
-its edge pairs and adjacency lists.  Generators number vertices
+its two edge columns and its adjacency lists.  Generators number vertices
 deterministically (hub first, then rim, outer, pendant) so file output is
 stable.
 """
@@ -11,8 +11,9 @@ stable.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable
-from itertools import groupby
+from collections.abc import Iterable, Sequence
+from itertools import islice, repeat
+from operator import add, floordiv, lt, mod, mul
 
 from .errors import (
     GraphFileError,
@@ -22,17 +23,61 @@ from .errors import (
 )
 
 
+class Edges(Sequence):
+    """A graph's edges: its sorted (u, v) pairs, u < v, held as two vertex columns.
+
+    ``us`` holds each edge's smaller end and ``vs`` its larger one.  It reads
+    as the tuple of its pairs would: iteration and indexing make each (u, v)
+    tuple on demand, and it equals that tuple.
+    """
+
+    __slots__ = ("us", "vs")
+
+    def __init__(self, us: tuple[int, ...], vs: tuple[int, ...]):
+        object.__setattr__(self, "us", us)
+        object.__setattr__(self, "vs", vs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Edges is immutable")
+
+    def __reduce__(self):
+        return Edges, (self.us, self.vs)
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __iter__(self):
+        return zip(self.us, self.vs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Edges(self.us[index], self.vs[index])
+        return self.us[index], self.vs[index]
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Edges):
+            return self.us == other.us and self.vs == other.vs
+        if isinstance(other, tuple):
+            return tuple(self) == other
+        return NotImplemented
+
+    __hash__ = None  # Graph hashes the columns; the pairs are not a key of their own
+
+    def __repr__(self) -> str:
+        return f"Edges({tuple(self)!r})"
+
+
 class Graph:
     """Simple undirected graph; immutable, with its derived structures built once."""
 
-    # ``edges`` and ``adj`` share one int object per vertex: with an object per
-    # endpoint, the 2*10^4-vertex, 10^5-edge graph held 197,680 ints, and its
-    # size by tracemalloc was 14.8 MB instead of 9.7 MB.  An input pair that is
-    # a tuple in order on those objects is kept as the edge, so ``loads``, with
-    # one int per distinct token, and a copy rebuilt from ``edges`` make no
-    # second tuple per edge.  Reading that graph's file traces a peak of
-    # 13.9 MB; with a tuple per edge made twice, an int per token, a dict of
-    # the edges and every line of the file split at once, it was 25.3 MB.
+    # ``edges`` holds the m edges as two columns of vertex ints rather than a
+    # tuple per edge, and its columns and ``adj`` share one int object per
+    # vertex.  The 2*10^4-vertex, 10^5-edge graph traces at 4.9 MB by
+    # tracemalloc; with a 2-int tuple per edge it was 9.7 MB, and with an int
+    # object per endpoint as well, 14.8 MB.  The constructor sorts only input
+    # that is not already in strictly increasing order, such as a shuffled or
+    # repeated edge list, so ``loads`` of a sorted file and a copy rebuilt
+    # from ``edges`` only append to the two columns and check their order.
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
     # graph up by hash, and hashing the edges costs O(m) each time.  ``_memo``
     # holds what the evaluators derive from the graph: source -> edge census
@@ -45,35 +90,43 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidFamilyParams(f"vertex count must be nonnegative, got {n}")
-        pairs = []
-        intern = {}.setdefault  # the first int object of each vertex value
-        for edge in edges:
-            a, b = edge
+        us: list = []
+        vs: list = []
+        add_u, add_v = us.append, vs.append
+        vertex: dict = {}  # vertex value -> the first int object met for it
+        intern = vertex.setdefault
+        for a, b in edges:
             u = intern(a, a)
             v = intern(b, b)
             if u == v:
                 raise SelfLoop(f"self-loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise VertexOutOfRange(f"edge ({u}, {v}) outside 0..{n - 1}")
-            # An input tuple already in order, on the interned ints, is the edge.
-            if u > v:
-                edge = (v, u)
-            elif u is not a or v is not b or type(edge) is not tuple:
-                edge = (u, v)
-            pairs.append(edge)
-        # Sorted input sorts in one linear run, and the stable sort puts each
-        # repeated edge right after its first copy, which ``groupby`` keeps.  In
-        # sorted edge order, vertex x first receives its smaller neighbours in
+            if u < v:
+                add_u(u)
+                add_v(v)
+            else:
+                add_u(v)
+                add_v(u)
+        # Pairs already strictly increasing are sorted and have no repeats.
+        # Others are sorted by the int key u*n + v, which orders them as pairs.
+        if not all(map(lt, zip(us, vs), zip(islice(us, 1, None), islice(vs, 1, None)))):
+            keys = sorted(set(map(add, map(mul, us, repeat(n)), vs)))
+            us[:] = map(vertex.__getitem__, map(floordiv, keys, repeat(n)))
+            vs[:] = map(vertex.__getitem__, map(mod, keys, repeat(n)))
+            del keys
+        # The bound appends hold the lists: drop them, so that the lists and the
+        # table are freed before the adjacency lists grow.
+        del add_u, add_v, vertex, intern
+        us, vs = tuple(us), tuple(vs)
+        # In sorted edge order, vertex x first receives its smaller neighbours in
         # ascending order, then its larger ones: no adjacency list needs a sort.
-        pairs.sort()
-        canonical = tuple(edge for edge, _ in groupby(pairs))
-        del pairs, intern  # free the list and the table before the adjacency lists grow
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in canonical:
+        for u, v in zip(us, vs):
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", canonical)
+        object.__setattr__(self, "edges", Edges(us, vs))
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "degrees", tuple(map(len, adj)))
         object.__setattr__(self, "_memo", {})
@@ -98,7 +151,7 @@ class Graph:
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.n, self.edges))
+            value = hash((self.n, self.edges.us, self.edges.vs))
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -288,25 +341,32 @@ def _lines(text: str):
 
 
 def loads(text: str) -> Graph:
-    n = None
-    edges = []
-    vertex = {}  # endpoint token -> its vertex, once the token has passed its checks
-    for lineno, raw in enumerate(_lines(text), start=1):
+    lines = enumerate(_lines(text), start=1)
+    for lineno, raw in lines:
         fields = raw.split()
         if not fields or fields[0].startswith("#"):
             continue
-        if n is None:
-            if len(fields) != 2 or fields[0] != "n":
-                raise GraphFileError(f"line {lineno}: expected 'n <count>', got {raw!r}")
-            try:
-                n = int(fields[1])
-            except ValueError:
-                raise GraphFileError(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
-            if n > MAX_VERTICES:
-                raise GraphFileError(
-                    f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
-            if n < 0:
-                raise GraphFileError(f"line {lineno}: vertex count {n} is negative")
+        if len(fields) != 2 or fields[0] != "n":
+            raise GraphFileError(f"line {lineno}: expected 'n <count>', got {raw!r}")
+        try:
+            n = int(fields[1])
+        except ValueError:
+            raise GraphFileError(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
+        if n > MAX_VERTICES:
+            raise GraphFileError(
+                f"line {lineno}: vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        if n < 0:
+            raise GraphFileError(f"line {lineno}: vertex count {n} is negative")
+        return Graph(n, _edge_lines(lines, n))
+    raise GraphFileError("missing 'n <count>' header line")
+
+
+def _edge_lines(lines, n: int):
+    """The checked pair of each edge line after the header, as the constructor takes it."""
+    vertex = {}  # endpoint token -> its vertex, once the token has passed its checks
+    for lineno, raw in lines:
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
         if len(fields) != 2:
             raise GraphFileError(f"line {lineno}: expected 'u v', got {raw!r}")
@@ -326,11 +386,7 @@ def loads(text: str) -> Graph:
             v = vertex.setdefault(b, v)
         elif u == v:
             raise GraphFileError(f"line {lineno}: self-loop at vertex {u}")
-        edges.append((u, v))
-    if n is None:
-        raise GraphFileError("missing 'n <count>' header line")
-    del vertex  # not held while the graph is built
-    return Graph(n, edges)
+        yield u, v
 
 
 def read_graph(path) -> Graph:

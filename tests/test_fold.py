@@ -239,7 +239,7 @@ LOCAL_STANDALONE = ("RL5", "RL6", "RL13", "RL14", "RL15")
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    return Graph(g.n + h.n, g.edges + tuple((u + g.n, v + g.n) for u, v in h.edges))
+    return Graph(g.n + h.n, [*g.edges, *((u + g.n, v + g.n) for u, v in h.edges)])
 
 
 def combine(d, x, y):

@@ -3,6 +3,7 @@
 import copy
 import gc
 import pickle
+import random
 import tracemalloc
 from itertools import permutations
 
@@ -14,6 +15,7 @@ from topoidx import graph
 from topoidx.errors import (
     GraphFileError,
     InvalidFamilyParams,
+    InverseUndefined,
     SelfLoop,
     VertexOutOfRange,
 )
@@ -29,7 +31,7 @@ from topoidx.graph import (
 )
 from topoidx.indices import evaluate
 
-from reference import graph_structures
+from reference import first_zero_edge, graph_structures
 
 from conftest import is_connected, messy_copy, random_graph
 
@@ -78,7 +80,7 @@ def spread_graphs(draw):
 
 
 def assert_one_object_per_vertex(g):
-    ends = [x for edge in g.edges for x in edge] + [x for nbrs in g.adj for x in nbrs]
+    ends = [*g.edges.us, *g.edges.vs] + [x for nbrs in g.adj for x in nbrs]
     assert len({id(x) for x in ends}) == len(set(ends)) <= g.n
 
 
@@ -137,21 +139,64 @@ class TestBuildGraph:
         for pairs in (edges, mixed):
             g = Graph(n, pairs)
             assert (g.n, g.edges, g.adj, g.degrees) == want
-            assert hash(g) == hash((want[0], want[1]))
+            rebuilt = Graph(want[0], want[1][::-1])
+            assert g == rebuilt and hash(g) == hash(rebuilt)
             assert_one_object_per_vertex(g)
 
-    def test_ordered_tuples_on_interned_ints_are_the_edges(self):
+    def test_pairs_of_any_form_give_the_first_int_of_each_vertex(self):
         first = (300, 301)
         later = (int("300"), 302)  # equal to the interned 300, not the same object
         edges = [first, later, [301, 302], (303, 302), first, (300, 301)]
         g = Graph(400, edges)
         assert g.edges == ((300, 301), (300, 302), (301, 302), (302, 303))
-        assert g.edges[0] is first
         assert all(type(edge) is tuple for edge in g.edges)
-        assert not any(edge is item for edge in g.edges[1:] for item in edges)
+        assert g.edges[0][0] is g.edges[1][0] is first[0] and g.edges[0][1] is first[1]
         assert_one_object_per_vertex(g)
         copied = copy.copy(g)
-        assert all(x is y for x, y in zip(copied.edges, g.edges))
+        assert copied.edges == g.edges
+        assert all(x is y for x, y in zip(copied.edges.us + copied.edges.vs,
+                                          g.edges.us + g.edges.vs))
+
+    @pytest.mark.parametrize("form", ["sorted", "shuffled", "read", "read messy"])
+    def test_edges_are_two_vertex_columns(self, form):
+        """The m edges are two tuples of vertex ints, with no tuple per edge.
+
+        The columns hold the adjacency's int objects, as does a kernel
+        entry's zero edge, on ids past the ints the interpreter keeps one
+        object of.
+        """
+        g = random_graph(3, 600, 2000)
+        pairs = list(g.edges)
+        random.Random(1).shuffle(pairs)
+        h = {"sorted": lambda: Graph(g.n, g.edges),
+             "shuffled": lambda: Graph(g.n, pairs + [(v, u) for u, v in pairs[::3]]),
+             "read": lambda: loads(dumps(g)),
+             "read messy": lambda: loads(messy_copy(g, 2))}[form]()
+        assert h == g
+        columns = [x for x in gc.get_referents(h.edges) if x is not type(h.edges)]
+        assert [(type(c), len(c)) for c in columns] == [(tuple, 2000)] * 2
+        assert list(zip(*columns)) == sorted(pairs) == list(h.edges)
+        assert {id(x) for c in columns for x in c} == {id(x) for nbrs in h.adj for x in nbrs}
+        assert_one_object_per_vertex(h)
+        with pytest.raises(InverseUndefined) as err:
+            evaluate(h, "IRL4")  # 0 on an edge whose ends have one degree
+        zero = h._memo[("plain", 4)].zero
+        assert zero is err.value.edge and zero == first_zero_edge(h, "plain", 4)
+        assert any(zero[0] is x for x in columns[0]) and any(zero[1] is x for x in columns[1])
+
+    def test_edges_read_as_the_tuple_of_their_pairs(self):
+        g = generate_family("wheel", 4)
+        pairs = ((0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4))
+        assert g.edges == pairs and tuple(g.edges) == pairs and len(g.edges) == 8
+        assert g.edges[-1] == (3, 4) and g.edges[2:5] == pairs[2:5]
+        assert list(reversed(g.edges)) == list(pairs[::-1])
+        assert (1, 4) in g.edges and (4, 1) not in g.edges
+        assert g.edges != list(pairs) and g.edges != pairs[:-1]
+        assert pickle.loads(pickle.dumps(g.edges)) == g.edges
+        with pytest.raises(AttributeError):
+            g.edges.us = ()
+        with pytest.raises(TypeError):
+            hash(g.edges)
 
     def test_immutable(self):
         g = Graph(2, [(0, 1)])
@@ -490,12 +535,15 @@ class TestFileFormat:
     def test_read_peaks_below_1_9_times_the_graph(self):
         """Traced memory while a file is read stays under 1.9 times the graph it builds.
 
-        This G(2000, 10^4) graph traces at about 1 MB.  Reading it peaked at 2.2
-        times that with an int per token, a tuple per edge in the reader and
-        another in the constructor, all the file's lines split at once and a
-        dict of the edges.  With one int per distinct token, one tuple per
-        edge, a list of the edges and the lines split a slice at a time, it
-        peaks at about 1.4 times.
+        This G(2000, 10^4) graph traces at about 0.5 MB, with its edges as two
+        columns of vertex ints.  Reading it peaks at about 1.7 times that, with
+        one int per distinct token, the lines split a slice at a time and each
+        checked pair handed to the constructor as its line is read; with the
+        reader's pairs held beside the constructor's columns it was 2.05 times.
+        With a tuple per edge the graph traced at about 1 MB, and reading it
+        peaked at 2.2 times that with an int per token, a tuple per edge in the
+        reader and another in the constructor, all the file's lines split at
+        once and a dict of the edges.
         """
         text = dumps(random_graph(3, 2000, 10**4))
         gc.collect()
