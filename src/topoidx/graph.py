@@ -11,7 +11,7 @@ stable.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from itertools import islice, repeat
 from operator import add, floordiv, lt, mod, mul
 
@@ -21,63 +21,22 @@ from .errors import (
     SelfLoop,
     VertexOutOfRange,
 )
-
-
-class Edges(Sequence):
-    """A graph's edges: its sorted (u, v) pairs, u < v, held as two vertex columns.
-
-    ``us`` holds each edge's smaller end and ``vs`` its larger one.  It reads
-    as the tuple of its pairs would: iteration and indexing make each (u, v)
-    tuple on demand, and it equals that tuple.
-    """
-
-    __slots__ = ("us", "vs")
-
-    def __init__(self, us: tuple[int, ...], vs: tuple[int, ...]):
-        object.__setattr__(self, "us", us)
-        object.__setattr__(self, "vs", vs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Edges is immutable")
-
-    def __reduce__(self):
-        return Edges, (self.us, self.vs)
-
-    def __len__(self) -> int:
-        return len(self.us)
-
-    def __iter__(self):
-        return zip(self.us, self.vs)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Edges(self.us[index], self.vs[index])
-        return self.us[index], self.vs[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Edges):
-            return self.us == other.us and self.vs == other.vs
-        if isinstance(other, tuple):
-            return tuple(self) == other
-        return NotImplemented
-
-    __hash__ = None  # Graph hashes the columns; the pairs are not a key of their own
-
-    def __repr__(self) -> str:
-        return f"Edges({tuple(self)!r})"
+from .pairs import Pairs
 
 
 class Graph:
     """Simple undirected graph; immutable, with its derived structures built once."""
 
-    # ``edges`` holds the m edges as two columns of vertex ints rather than a
-    # tuple per edge, and its columns and ``adj`` share one int object per
-    # vertex.  The 2*10^4-vertex, 10^5-edge graph traces at 4.9 MB by
-    # tracemalloc; with a 2-int tuple per edge it was 9.7 MB, and with an int
-    # object per endpoint as well, 14.8 MB.  The constructor sorts only input
-    # that is not already in strictly increasing order, such as a shuffled or
-    # repeated edge list, so ``loads`` of a sorted file and a copy rebuilt
-    # from ``edges`` only append to the two columns and check their order.
+    # ``edges`` is a ``Pairs`` of the m sorted (u, v) edges, u < v: two
+    # columns of vertex ints, ``firsts`` the smaller ends and ``seconds`` the
+    # larger, rather than a tuple per edge.  Its columns and ``adj`` share one
+    # int object per vertex.  The 2*10^4-vertex, 10^5-edge graph traces at
+    # 4.9 MB by tracemalloc; with a 2-int tuple per edge it was 9.7 MB, and
+    # with an int object per endpoint as well, 14.8 MB.  The constructor
+    # sorts only input that is not already in strictly increasing order, such
+    # as a shuffled or repeated edge list, so ``loads`` of a sorted file, a
+    # family generator and a copy rebuilt from ``edges`` only append to the
+    # two columns and check their order.
     # ``_hash`` is filled in by the first ``hash()``: the table caches look a
     # graph up by hash, and hashing the edges costs O(m) each time.  ``_memo``
     # holds what the evaluators derive from the graph: source -> edge census
@@ -126,7 +85,7 @@ class Graph:
             adj[u].append(v)
             adj[v].append(u)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", Edges(us, vs))
+        object.__setattr__(self, "edges", Pairs(us, vs))
         object.__setattr__(self, "adj", tuple(map(tuple, adj)))
         object.__setattr__(self, "degrees", tuple(map(len, adj)))
         object.__setattr__(self, "_memo", {})
@@ -151,7 +110,7 @@ class Graph:
         try:
             return self._hash
         except AttributeError:
-            value = hash((self.n, self.edges.us, self.edges.vs))
+            value = hash((self.n, self.edges.firsts, self.edges.seconds))
             object.__setattr__(self, "_hash", value)
             return value
 
@@ -176,10 +135,14 @@ def bfs_distances(g: Graph, source: int) -> list:
 
 
 # --- family generators -----------------------------------------------------
+#
+# Each generator builds its edges as sorted canonical pairs, u < v, so the
+# constructor only appends them and checks their order: a wrap-around edge
+# is placed among its smaller end's pairs, not after the rest.
 
 
 def _gen_cycle(n: int) -> Graph:
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, [(0, 1), (0, n - 1)] + [(i, i + 1) for i in range(1, n - 1)])
 
 
 def _gen_path(n: int) -> Graph:
@@ -208,7 +171,7 @@ def _gen_double_star(p: int, q: int) -> Graph:
 def _gen_wheel(n: int) -> Graph:
     # Hub 0 joined to the rim cycle 1..n.
     edges = [(0, i) for i in range(1, n + 1)]
-    edges += [(i, i % n + 1) for i in range(1, n + 1)]
+    edges += [(1, 2), (1, n)] + [(i, i + 1) for i in range(2, n)]
     return Graph(n + 1, edges)
 
 
@@ -216,24 +179,23 @@ def _gen_sunflower(n: int) -> Graph:
     # Hub 0; rim cycle u_i = 1+i; outer w_i = n+1+i tied to u_i and the hub;
     # pendants p_i = 2n+1+i on the hub alone.  Degree census: hub 3n, rim 4,
     # outer 2, pendant 1, with n edges of each of the five types.
-    hub = 0
-    rim = [1 + i for i in range(n)]
-    outer = [n + 1 + i for i in range(n)]
-    pendant = [2 * n + 1 + i for i in range(n)]
-    edges = [(rim[i], rim[(i + 1) % n]) for i in range(n)]
-    edges += [(hub, u) for u in rim]
-    edges += [(rim[i], outer[i]) for i in range(n)]
-    edges += [(hub, w) for w in outer]
-    edges += [(hub, p) for p in pendant]
+    # Rim vertex u's larger neighbours, ascending: u+1 on the rim (and rim
+    # u_0's wrap-around neighbour n), then its outer vertex u+n.
+    edges = [(0, w) for w in range(1, 3 * n + 1)]
+    edges += [(1, 2), (1, n), (1, n + 1)]
+    for u in range(2, n):
+        edges += [(u, u + 1), (u, u + n)]
+    edges.append((n, 2 * n))
     return Graph(3 * n + 1, edges)
 
 
 def _gen_french_windmill(n: int, m: int) -> Graph:
-    # m copies of K_n sharing vertex 0.
-    edges = []
-    for copy in range(m):
-        block = [0] + [1 + copy * (n - 1) + i for i in range(n - 1)]
-        edges += [(block[i], block[j]) for i in range(n) for j in range(i + 1, n)]
+    # m copies of K_n sharing vertex 0; copy c's other vertices are the run
+    # 1 + c(n-1) .. c(n-1) + n-1.
+    edges = [(0, v) for v in range(1, m * (n - 1) + 1)]
+    for start in range(1, m * (n - 1) + 1, n - 1):
+        end = start + n - 1
+        edges += [(u, v) for u in range(start, end) for v in range(u + 1, end)]
     return Graph(m * (n - 1) + 1, edges)
 
 
@@ -247,13 +209,13 @@ def _regular_size(n: int, r: int) -> tuple[int, int]:
 
 def _gen_regular(n: int, r: int) -> Graph:
     # Circulant with jumps 1..r/2; an odd r additionally needs n even and
-    # uses the diameter chord i <-> i+n/2.
-    edges = []
-    for jump in range(1, r // 2 + 1):
-        edges += [(i, (i + jump) % n) for i in range(n)]
-    if r % 2 == 1:
-        edges += [(i, i + n // 2) for i in range(n // 2)]
-    return Graph(n, edges)
+    # uses the diameter chord i <-> i+n/2.  Vertex i's larger neighbours are
+    # i + d below n for the ascending offsets d: the jumps, the chord, then
+    # n - r/2 .. n - 1, which are the backward jumps that wrap past 0.  As
+    # r < n, no two offsets meet.
+    half = r // 2
+    offsets = [*range(1, half + 1), *([n // 2] if r % 2 == 1 else []), *range(n - half, n)]
+    return Graph(n, [(i, i + d) for i in range(n) for d in offsets if i + d < n])
 
 
 # family -> (parameter names, minimum of each parameter or None, builder,

@@ -3,7 +3,9 @@
 import copy
 import math
 import pickle
+import random
 import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -239,7 +241,7 @@ class TestExpPoly:
     def test_immutable(self):
         p = ExpPoly({1: 1})
         with pytest.raises(AttributeError):
-            p._terms = {}
+            p._exps = ()
 
     @pytest.mark.parametrize("clone", [
         copy.copy,
@@ -256,7 +258,7 @@ class TestExpPoly:
             assert [(type(e), e, c) for e, c in q.terms()] == [(type(e), e, c) for e, c in p.terms()]
             assert q.render() == p.render()
             with pytest.raises(AttributeError):
-                q._terms = {}
+                q._exps = ()
 
     @given(st.lists(
         st.tuples(
@@ -277,6 +279,103 @@ class TestExpPoly:
         a, b = ExpPoly(a_terms), ExpPoly(b_terms)
         x = F(3, 2)
         assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+
+
+def model_of(pairs) -> dict:
+    """A polynomial as a plain dict: exponent -> coefficient, zeros dropped.
+
+    A dict keeps the first key object met for equal keys, so an int and a
+    Fraction of one value are one key with the type of the first.
+    """
+    model: dict = {}
+    for e, c in pairs:
+        model[e] = model.get(e, 0) + c
+    return {e: c for e, c in model.items() if c}
+
+
+def canonical(model: dict) -> list:
+    return sorted(model.items(), key=lambda term: term[0], reverse=True)
+
+
+def typed(terms) -> list:
+    return [(type(e), e, type(c), c) for e, c in terms]
+
+
+exponents = st.one_of(st.integers(-30, 30),
+                      st.fractions(min_value=-20, max_value=20, max_denominator=6))
+term_lists = st.lists(st.tuples(exponents, st.integers(-4, 4)), max_size=12)
+
+
+class TestExpPolyAgainstDictModel:
+    @given(term_lists, term_lists, st.randoms(use_true_random=False))
+    def test_matches_the_model(self, a_pairs, b_pairs, rng):
+        a, b = ExpPoly(a_pairs), ExpPoly(b_pairs)
+        ma, mb = model_of(a_pairs), model_of(b_pairs)
+        want = canonical(ma)
+        terms = a.terms()
+        assert typed(terms) == typed(want)
+        assert terms == tuple(want) and list(terms) == want and len(a) == len(ma)
+        assert a.render() == (" + ".join(
+            f"{c}*x^{e.numerator}" + ("" if e.denominator == 1 else f"/{e.denominator}")
+            for e, c in want) or "0")
+        assert a.evaluate(1) == sum(ma.values())
+        assert a.derivative_at_one() == sum(c * e for e, c in ma.items())
+        assert a == ExpPoly(ma) and hash(a) == hash(ExpPoly(ma))
+        assert (a == b) == (ma == mb)
+        shuffled = list(a_pairs)
+        rng.shuffle(shuffled)
+        s = ExpPoly(shuffled)
+        assert s == a and hash(s) == hash(a) and s.render() == a.render()
+        assert typed((a + b).terms()) == typed(canonical(model_of([*ma.items(), *mb.items()])))
+        product = [(e1 + e2, c1 * c2) for e1, c1 in ma.items() for e2, c2 in mb.items()]
+        assert typed((a * b).terms()) == typed(canonical(model_of(product)))
+        for clone in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+            q = clone(a)
+            assert q == a and hash(q) == hash(a)
+            assert typed(q.terms()) == typed(want) and q.render() == a.render()
+
+    def test_terms_read_as_the_tuple_of_their_pairs(self):
+        p = ExpPoly([(3, 2), (F(7, 2), 1), (-1, 5)])
+        pairs = ((F(7, 2), 1), (3, 2), (-1, 5))
+        terms = p.terms()
+        assert terms == pairs and tuple(terms) == pairs and len(terms) == 3
+        assert terms[0] == (F(7, 2), 1) and terms[1:] == pairs[1:]
+        assert terms != list(pairs)
+        with pytest.raises(AttributeError):
+            terms.firsts = ()
+        with pytest.raises(TypeError):
+            hash(terms)
+
+    def test_columns_hold_two_pointers_per_term(self):
+        """10^5 terms: the poly holds two tuples, and its terms are built with no tuple per term.
+
+        The exponents are 70-bit ints, large as ``RLKV1exp``'s are on a large
+        random graph, made before tracing starts.  A dict of the terms held
+        5.0 MB, and a sorted list of its items peaked 7.6 MB above it.  The
+        poly now holds 1.53 MB, and a pass over ``terms()`` peaks 2.29 MB
+        above it: two sorted columns, a sort's keys and merge space.  An
+        index permutation would have peaked at 5.45 MB, most of it 10^5 ints.
+        """
+        rng = random.Random(1)
+        exps = [(1 << 70) + 3 * i for i in range(10 ** 5)]
+        rng.shuffle(exps)
+        coeffs = [rng.choice((1, 1, 1, 2, 3)) for _ in exps]
+        tracemalloc.start()
+        try:
+            p = ExpPoly(zip(exps, coeffs))
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            first = last = None
+            for term in p.terms():
+                first = first or term
+                last = term
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(p) == 10 ** 5
+        assert first[0] == max(exps) and last[0] == min(exps)
+        assert held <= 2 * 2 ** 20
+        assert peak - held < 3 * 2 ** 20
 
 
 CUT = exact.STR_BITS_MAX

@@ -588,20 +588,24 @@ class TestClosenessCensus:
 
     @staticmethod
     def assert_first_edges(g, label):
-        """Each class's first edge is the one an edge scan meets first, on the graph's own ints."""
-        for source in ("plain", "revan", "temperature", "banhatti", "kv", "nbd"):
-            first = {}
-            for u, v, a, b in edge_endpoint_values(g, source):
-                first.setdefault((a, b) if a <= b else (b, a), (u, v))
-            assert list(first) == list(edge_census(g, source)), (label, source)
-            for pair, edge in first.items():
-                got = first_edge_of_class(g, source, pair)
-                assert got == edge and is_own_edge(g, got), (label, source, pair)
+        """Each closeness class's first edge is the one a scan of the reference table meets first."""
+        table = closeness_per_vertex(g)
+        first = {}
+        for u, v in g.edges:
+            a, b = table[u], table[v]
+            first.setdefault((a, b) if a <= b else (b, a), (u, v))
+        assert list(first) == list(edge_census(g, "closeness")), label
+        for pair, edge in first.items():
+            got = first_edge_of_class(g, "closeness", pair)
+            assert got == edge and is_own_edge(g, got), (label, pair)
 
     def test_first_edge_of_each_class(self, small_families):
+        """On connected graphs only: closeness is refused on a disconnected one."""
         rng = random.Random(2020)
-        graphs = [(f"random{i}", random_graph_with_isolated(rng)) for i in range(100)]
-        assert any(0 in g.degrees and g.edges for _, g in graphs)
+        graphs = [(f"random{i}", random_connected_graph(rng, rng.randint(1, 40),
+                                                        rng.choice((0.2, 0.5))))
+                  for i in range(60)]
+        assert any(len(set(closeness_per_vertex(g))) > 2 for _, g in graphs)
         for label, g in graphs + small_families:
             self.assert_first_edges(g, label)
 

@@ -33,7 +33,7 @@ from topoidx.indices import evaluate
 
 from reference import first_zero_edge, graph_structures
 
-from conftest import is_connected, messy_copy, random_graph
+from conftest import family_grid, is_connected, messy_copy, random_graph
 
 
 def isomorphic_bruteforce(g: Graph, h: Graph) -> bool:
@@ -80,7 +80,7 @@ def spread_graphs(draw):
 
 
 def assert_one_object_per_vertex(g):
-    ends = [*g.edges.us, *g.edges.vs] + [x for nbrs in g.adj for x in nbrs]
+    ends = [*g.edges.firsts, *g.edges.seconds] + [x for nbrs in g.adj for x in nbrs]
     assert len({id(x) for x in ends}) == len(set(ends)) <= g.n
 
 
@@ -154,8 +154,8 @@ class TestBuildGraph:
         assert_one_object_per_vertex(g)
         copied = copy.copy(g)
         assert copied.edges == g.edges
-        assert all(x is y for x, y in zip(copied.edges.us + copied.edges.vs,
-                                          g.edges.us + g.edges.vs))
+        assert all(x is y for x, y in zip(copied.edges.firsts + copied.edges.seconds,
+                                          g.edges.firsts + g.edges.seconds))
 
     @pytest.mark.parametrize("form", ["sorted", "shuffled", "read", "read messy"])
     def test_edges_are_two_vertex_columns(self, form):
@@ -194,7 +194,7 @@ class TestBuildGraph:
         assert g.edges != list(pairs) and g.edges != pairs[:-1]
         assert pickle.loads(pickle.dumps(g.edges)) == g.edges
         with pytest.raises(AttributeError):
-            g.edges.us = ()
+            g.edges.firsts = ()
         with pytest.raises(TypeError):
             hash(g.edges)
 
@@ -393,6 +393,60 @@ class TestGenerators:
     def test_handshake_over_families(self, small_families):
         for label, g in small_families:
             assert sum(g.degrees) == 2 * g.edge_count, label
+
+    def test_generators_hand_over_sorted_canonical_pairs(self, monkeypatch):
+        """So the constructor builds every family graph without its sort."""
+        handed = []
+
+        def build(n, edges):
+            handed.append(list(edges))
+            return Graph(n, handed[-1])
+
+        monkeypatch.setattr(graph, "Graph", build)
+        labelled = family_grid(12)
+        assert len(handed) == len(labelled)
+        for (label, g), pairs in zip(labelled, handed):
+            assert all(u < v for u, v in pairs), label
+            assert all(a < b for a, b in zip(pairs, pairs[1:])), label
+            assert pairs == list(g.edges), label
+
+    @pytest.mark.parametrize("family, params", [
+        *[("cycle", (n,)) for n in range(3, 12)],
+        *[("wheel", (n,)) for n in range(3, 12)],
+        *[("sunflower", (n,)) for n in range(3, 12)],
+        *[("french_windmill", (n, m)) for n in range(3, 7) for m in range(3, 6)],
+        *[("regular", (n, r)) for n in range(2, 15) for r in range(1, n) if n * r % 2 == 0],
+    ])
+    def test_generators_build_the_defining_edge_sets(self, family, params):
+        """Each wrap-around family, against its edges as defined, modulo n and unsorted."""
+        if family == "cycle":
+            (n,) = params
+            want = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+        elif family == "wheel":
+            (n,) = params
+            want = Graph(n + 1, [(0, i) for i in range(1, n + 1)]
+                         + [(i, i % n + 1) for i in range(1, n + 1)])
+        elif family == "sunflower":
+            (n,) = params
+            rim, outer, pendant = range(1, n + 1), range(n + 1, 2 * n + 1), range(2 * n + 1, 3 * n + 1)
+            want = Graph(3 * n + 1, [(rim[i], rim[(i + 1) % n]) for i in range(n)]
+                         + [(0, u) for u in rim] + [(rim[i], outer[i]) for i in range(n)]
+                         + [(0, w) for w in outer] + [(0, p) for p in pendant])
+        elif family == "french_windmill":
+            n, m = params
+            edges = []
+            for copy in range(m):
+                block = [0] + [1 + copy * (n - 1) + i for i in range(n - 1)]
+                edges += [(block[j], block[i]) for i in range(n) for j in range(i + 1, n)]
+            want = Graph(m * (n - 1) + 1, edges)
+        else:
+            n, r = params
+            edges = [(i, (i + jump) % n) for jump in range(1, r // 2 + 1) for i in range(n)]
+            if r % 2 == 1:
+                edges += [(i, i + n // 2) for i in range(n // 2)]
+            want = Graph(n, edges)
+            assert set(want.degrees) == {r}
+        assert generate_family(family, *params) == want
 
     @given(st.integers(2, 9).flatmap(
         lambda n: st.tuples(
