@@ -24,6 +24,8 @@ S and relabels those classes.  The distance sums come from one bit-parallel
 multi-source BFS, or from one BFS per vertex on graphs as long as paths and
 cycles.  All functions are pure; the per-source vertex tables are cached
 against the immutable graph, and its small edge censuses kept in its memo.
+The table cache holds one entry per source, so at most the tables of one
+graph: the graph being evaluated, and no graph it has seen before.
 """
 
 from __future__ import annotations
@@ -234,9 +236,14 @@ VERTEX_TABLES = {
 }
 
 
-@lru_cache(maxsize=512)
+@lru_cache(maxsize=len(VERTEX_TABLES))
 def vertex_table(g: Graph, source: str) -> tuple:
-    """Per-vertex values for any vertex-valued source (not banhatti)."""
+    """Per-vertex values for any vertex-valued source (not banhatti).
+
+    Cached by (graph, source), with room for every source of one graph: a
+    graph that nothing else references is freed once ``len(VERTEX_TABLES)``
+    tables of other graphs have been built.
+    """
     try:
         build = VERTEX_TABLES[source]
     except KeyError:

@@ -515,6 +515,22 @@ def _family_points(family: str, lo: int, hi: int) -> Iterable[tuple[dict, tuple]
             yield {"n": n}, (name, n)
 
 
+def _check_points(graph, points) -> Iterable[OracleResult]:
+    """The result of each (entry, params) point of ``points`` on ``graph``."""
+    for entry, params in points:
+        point = tuple(sorted(params.items()))
+        try:
+            direct = evaluate(graph, entry.index)
+            expected = entry.eval(**params)
+        except GraphTooLarge:
+            continue  # past the exhaustive domination solver's reach
+        except TopoidxError as exc:
+            yield OracleResult(entry.id, point, "", "", f"ERROR:{type(exc).__name__}")
+            continue
+        verdict = CONFIRMED if expected == direct else DISCREPANT
+        yield OracleResult(entry.id, point, render_value(expected), render_value(direct), verdict)
+
+
 def run_verification(
     families: Iterable[str] | None = None,
     lo: int = 3,
@@ -524,8 +540,11 @@ def run_verification(
     """Evaluate every selected oracle against direct computation.
 
     Each (oracle, parameter point) pair yields one result; evaluation errors
-    become ``ERROR:`` verdict rows instead of aborting the run.  Results are
-    sorted by id and parameters so reports are deterministic.
+    become ``ERROR:`` verdict rows instead of aborting the run.  The selected
+    points are grouped by the ``generate_family`` call that builds their
+    graph, so each graph is built once, evaluated at all its points and
+    dropped before the next one is built.  Results are sorted by id and
+    parameters so reports are deterministic.
     """
     family_filter = set(families) if families else None
     id_filter = set(ids) if ids else None
@@ -534,8 +553,7 @@ def run_verification(
         unknown = sorted((given or set()) - set(known))
         if unknown:
             raise ParamsOutOfStatedRange(f"unknown oracle {kind} {', '.join(map(repr, unknown))}")
-    results = []
-    graph_cache: dict[tuple, object] = {}
+    points_by_spec: dict[tuple, list] = {}
     for oracle_id in sorted(_ENTRIES):
         entry = _ENTRIES[oracle_id]
         if family_filter and entry.family not in family_filter:
@@ -543,25 +561,11 @@ def run_verification(
         if id_filter and oracle_id not in id_filter:
             continue
         for params, spec in _family_points(entry.family, lo, hi):
-            if not _RANGES[entry.range_text](**params):
-                continue
-            if spec not in graph_cache:
-                graph_cache[spec] = generate_family(*spec)
-            point = tuple(sorted(params.items()))
-            try:
-                direct = evaluate(graph_cache[spec], entry.index)
-                expected = entry.eval(**params)
-            except GraphTooLarge:
-                continue  # past the exhaustive domination solver's reach
-            except TopoidxError as exc:
-                results.append(OracleResult(
-                    oracle_id, point, "", "", f"ERROR:{type(exc).__name__}",
-                ))
-                continue
-            verdict = CONFIRMED if expected == direct else DISCREPANT
-            results.append(OracleResult(
-                oracle_id, point, render_value(expected), render_value(direct), verdict,
-            ))
+            if _RANGES[entry.range_text](**params):
+                points_by_spec.setdefault(spec, []).append((entry, params))
+    results = []
+    for spec, points in points_by_spec.items():
+        results.extend(_check_points(generate_family(*spec), points))
     results.sort(key=lambda r: (r.oracle_id, r.params))
     return results
 

@@ -1,6 +1,7 @@
 """Degree functionals: spot values, regular-graph constancy, domination solver."""
 
 import random
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from topoidx.exact import render_value
 from topoidx.functionals import (
     CLOSENESS_BLOCK,
     DOMINATION_MAX,
+    VERTEX_TABLES,
     _banhatti_pair,
     _multi_source_distance_sums,
     cl_degrees,
@@ -26,6 +28,7 @@ from topoidx.functionals import (
     neighbor_degree_sums,
     revan_degrees,
     temperatures,
+    vertex_table,
 )
 from topoidx.graph import Graph, bfs_distances, generate_family
 from topoidx.indices import SOURCES, all_index_names, evaluate, lookup, registry_names
@@ -614,6 +617,28 @@ class TestClosenessCensus:
         for i in range(60):
             g = random_connected_graph(rng, rng.randint(1, 40), rng.choice((0.2, 0.5)))
             self.assert_census(g, f"random{i}")
+
+
+class TestTableCache:
+    """The vertex-table cache holds one graph's tables and keeps no older graph alive."""
+
+    class Tracked(Graph):
+        __slots__ = ("__weakref__",)
+
+    def test_unreferenced_graph_freed_after_one_graph_of_tables(self):
+        vertex_table.cache_clear()
+        wheel = generate_family("wheel", 30)
+        g = self.Tracked(wheel.n, wheel.edges)
+        assert vertex_table(g, "plain") == wheel.degrees
+        vertex_table(g, "closeness")
+        alive = weakref.ref(g)
+        del g
+        assert alive() is not None  # its two tables still key the cache
+        other = generate_family("path", 6)
+        for source in VERTEX_TABLES:
+            vertex_table(other, source)
+        assert alive() is None
+        assert vertex_table.cache_info().currsize == len(VERTEX_TABLES)
 
 
 class TestAgainstNetworkx:

@@ -1,5 +1,6 @@
 """Closed-form oracles and the differential verifier."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from topoidx import generate_family, oracles
 from topoidx.errors import ParamsOutOfStatedRange, UnsupportedEvaluation
 from topoidx.exact import ExpPoly
+from topoidx.functionals import VERTEX_TABLES, vertex_table
+from topoidx.graph import Graph
 from topoidx.oracles import (
     OracleEntry,
     _family_points,
@@ -143,6 +146,30 @@ class TestVerification:
         results = run_verification(families=["k1n", "star"], lo=3, hi=6)
         assert {r.oracle_id.split("/")[1] for r in results} == {"k1n", "star"}
         assert len(built) == len(set(built)) == 4
+        assert set(built) == {generate_family("star", n) for n in range(3, 7)}
+
+    def test_graphs_dropped_one_by_one(self, monkeypatch):
+        # Each graph is built once and dropped after its last point; the
+        # table cache keeps the tables of at most one graph.  Other tests'
+        # graphs may still be alive, so count the graphs above those.
+        def live_graphs():
+            return sum(type(o) is Graph for o in gc.get_objects())
+
+        specs, alive = [], []
+
+        def build(*spec):
+            specs.append(spec)
+            alive.append(live_graphs() - before)
+            return generate_family(*spec)
+
+        monkeypatch.setattr(oracles, "generate_family", build)
+        vertex_table.cache_clear()
+        gc.collect()
+        before = live_graphs()
+        results = run_verification(families=["wheel", "cycle", "regular"], lo=3, hi=30)
+        assert {r.oracle_id.split("/")[1] for r in results} == {"wheel", "cycle", "regular"}
+        assert len(specs) == len(set(specs)) > 100
+        assert max(alive) <= len(VERTEX_TABLES) + 1
 
     def test_two_parameter_grids(self):
         assert list(_family_points("regular", 5, 6)) == [
