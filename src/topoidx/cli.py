@@ -26,7 +26,7 @@ from fractions import Fraction
 from .errors import TopoidxError
 from .exact import ExpPoly, parse_rat, render_int, render_value
 from .functionals import VERTEX_TABLES, vertex_table
-from .graph import dumps, family_label, generate_family, read_graph
+from .graph import dumps, family_label, generate_family, read_graph, write_graph
 from .indices import Descriptor, all_index_names, describe, evaluate, lookup, memo_holds
 from .oracles import (
     CONFIRMED,
@@ -49,12 +49,11 @@ def _approx(value) -> str:
 
 def cmd_gen(args) -> int:
     g = generate_family(args.family, *args.params)
-    text = dumps(g, comment=family_label(args.family, args.params))
+    comment = family_label(args.family, args.params)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        write_graph(g, args.output, comment)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(dumps(g, comment))
     return 0
 
 
@@ -214,9 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_compute = sub.add_parser("compute", help="evaluate indices on a graph file")
     p_compute.add_argument("graph", help="edge-list file")
-    p_compute.add_argument("--index", action="append", default=[],
-                           help="index name(s), comma separated; repeatable")
-    p_compute.add_argument("--all", action="store_true", help="evaluate the whole registry")
+    names = p_compute.add_mutually_exclusive_group()
+    names.add_argument("--index", action="append", default=[],
+                       help="index name(s), comma separated; repeatable")
+    names.add_argument("--all", action="store_true", help="evaluate the whole registry")
     p_compute.add_argument("--format", choices=("table", "csv", "json"), default="table")
     p_compute.add_argument("--float", action="store_true",
                            help="add a 12-significant-digit float column")
@@ -257,14 +257,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TopoidxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except BrokenPipeError:
         # Downstream consumer (e.g. head) closed the pipe; not our error.
         sys.stderr.close()
         return 0
-    except OSError as exc:
+    except (TopoidxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -602,24 +602,21 @@ def baseline_from_results(results: Iterable[OracleResult]) -> dict:
 
 def load_baseline(path=None) -> dict:
     """Oracle id -> {"default": verdict, optional "exceptions": {point: verdict}}."""
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                baseline = json.load(handle)
-        except ValueError as exc:  # malformed JSON or not UTF-8
-            raise BaselineFileError(f"{path}: {exc}") from None
-        if not isinstance(baseline, dict) or not all(
-            isinstance(record, dict) and "default" in record
-            and isinstance(record.get("exceptions", {}), dict)
-            for record in baseline.values()
-        ):
-            raise BaselineFileError(f"{path}: expected an object of oracle id -> "
-                                    '{"default": verdict, "exceptions": {...}}')
-        return baseline
-    # Beside this module, in a checkout and in an installed package alike.
-    shipped = os.path.join(os.path.dirname(__file__), "baseline.json")
-    with open(shipped, encoding="utf-8") as handle:
-        return json.load(handle)
+    if path is None:  # the shipped file, beside this module in a checkout or a package
+        path = os.path.join(os.path.dirname(__file__), "baseline.json")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            baseline = json.load(handle)
+    except ValueError as exc:  # malformed JSON or not UTF-8
+        raise BaselineFileError(f"{path}: {exc}") from None
+    if not isinstance(baseline, dict) or not all(
+        isinstance(record, dict) and "default" in record
+        and isinstance(record.get("exceptions", {}), dict)
+        for record in baseline.values()
+    ):
+        raise BaselineFileError(f"{path}: expected an object of oracle id -> "
+                                '{"default": verdict, "exceptions": {...}}')
+    return baseline
 
 
 def compare_to_baseline(results: Iterable[OracleResult], baseline: dict):

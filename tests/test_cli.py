@@ -1,9 +1,12 @@
 """Command-line interface behavior."""
 
 import csv
+import errno
 import hashlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import random
@@ -299,6 +302,40 @@ class TestCompute:
         assert code == 2
         assert "no index named" in err
 
+    @pytest.mark.parametrize("argv", [["--all", "--index", "RL1"], ["--index", "RL1", "--all"]])
+    def test_index_and_all_are_exclusive(self, w3_file, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(capsys, "compute", w3_file, *argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert " not allowed with argument " in captured.err.splitlines()[-1]
+
+    def test_closed_stdout_exits_quietly(self, w3_file, monkeypatch):
+        """A consumer that closes the pipe early ends the command with status 0 and no message."""
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+        stderr = io.StringIO()
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert cli.main(["compute", w3_file, "--all"]) == 0
+        assert stderr.closed
+
+    def test_pipe_closed_early(self, tmp_path):
+        """``compute --all`` on sunflower(100) prints 1.3 MB, far past a pipe's buffer."""
+        path = tmp_path / "sunflower100.txt"
+        write_graph(generate_family("sunflower", 100), path)
+        src = os.path.dirname(os.path.dirname(topoidx.__file__))
+        with subprocess.Popen([sys.executable, "-m", "topoidx.cli", "compute", str(path), "--all"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=dict(os.environ, PYTHONPATH=src)) as proc:
+            assert proc.stdout.readline().split() == [b"graph", b"index", b"value", b"approx"]
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 0
+            assert proc.stderr.read() == b""
+
 
 class TestHugeValues:
     """Commands whose values pass the int-to-text digit limit print them in full.
@@ -448,6 +485,21 @@ class TestVerifyCommand:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {path}:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("content", [b'{"RL1/wheel": ', b"[]"], ids=["truncated", "list"])
+    def test_damaged_shipped_baseline(self, tmp_path, content):
+        """The shipped file is read and checked as a ``--baseline`` file is."""
+        package = tmp_path / "topoidx"
+        shutil.copytree(os.path.dirname(topoidx.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        (package / "baseline.json").write_bytes(content)
+        proc = subprocess.run([sys.executable, "-m", "topoidx.cli", "verify",
+                               "--oracle", "NRL1/cycle", "--range", "3..3"],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(tmp_path)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {package / 'baseline.json'}:")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv", [["--family", "nope"], ["--oracle", "NOPE/x"],
                                       ["--family", "wheel", "--oracle", "RL1/whee"]])

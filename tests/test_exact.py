@@ -100,6 +100,11 @@ class TestPowers:
         assert isinstance(value, float)
         assert value == pytest.approx(2.0, rel=1e-9)
 
+    def test_general_fractional_zero_to_negative(self):
+        with pytest.raises(DivisionByZero) as err:
+            general_pow(0, F(-1, 2))
+        assert str(err.value) == "0 raised to a negative power"
+
     def test_general_fractional_negative_base(self):
         with pytest.raises(UnsupportedEvaluation):
             general_pow(-4, F(1, 2))
@@ -144,6 +149,11 @@ class TestSqrt:
 
     def test_irrational(self):
         assert exact_sqrt(2) is None
+
+    def test_negative(self):
+        with pytest.raises(UnsupportedEvaluation) as err:
+            exact_sqrt(-1)
+        assert str(err.value) == "square root of negative value -1"
 
     def test_sum_stays_exact_when_possible(self):
         assert sqrt_sum([(F(4), 1), (F(9, 4), 1)]) == F(7, 2)

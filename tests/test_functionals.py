@@ -86,6 +86,11 @@ class TestVertexFunctionals:
         assert banhatti_pair(g, *rim_rim) == (1, 1)
         assert banhatti_pair(g, 0, 1) == (7, F(7, 4))
 
+    def test_banhatti_has_no_vertex_table(self):
+        with pytest.raises(ValueError) as err:
+            functionals.vertex_table(generate_family("wheel", 4), "banhatti")
+        assert str(err.value) == "unknown vertex-valued source 'banhatti'"
+
     @pytest.mark.parametrize("n", range(3, 7))
     def test_banhatti_complete(self, n):
         g = generate_family("complete", n)

@@ -79,6 +79,26 @@ def spread_graphs(draw):
     return base + k + draw(st.integers(0, 3)), [(int(str(u)), int(str(v))) for u, v in edges]
 
 
+@st.composite
+def edge_files(draw):
+    """(n, pairs, text, lines): pairs with self-loops and ends out of range, as a file.
+
+    Each end is written as ``v``, ``0v`` or ``+v`` (``-v`` or ``-0v`` below 0),
+    so one vertex has several tokens, and comment and blank lines fall between
+    the pairs; ``lines[i]`` is the line number of pair i.
+    """
+    n = draw(st.integers(0, 6))
+    vertex = st.integers(-1, n)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=12))
+    rows, lines = ["# comment", f"n {n}"], []
+    for pair in pairs:
+        rows += draw(st.lists(st.sampled_from(["", "# between"]), max_size=1))
+        rows.append(" ".join(draw(st.sampled_from(
+            [str(v), f"0{v}", f"+{v}"] if v >= 0 else [str(v), f"-0{-v}"])) for v in pair))
+        lines.append(len(rows))
+    return n, pairs, "\n".join(rows) + "\n", lines
+
+
 def assert_one_object_per_vertex(g):
     ends = [*g.edges.firsts, *g.edges.seconds] + [x for nbrs in g.adj for x in nbrs]
     assert len({id(x) for x in ends}) == len(set(ends)) <= g.n
@@ -101,6 +121,11 @@ class TestBuildGraph:
     def test_self_loop(self):
         with pytest.raises(SelfLoop):
             Graph(3, [(1, 1)])
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(InvalidFamilyParams) as err:
+            Graph(-1, [])
+        assert str(err.value) == "vertex count must be nonnegative, got -1"
 
     @settings(max_examples=300, deadline=None)
     @given(edge_lists(valid=True))
@@ -480,6 +505,12 @@ class TestBfs:
         g = Graph(3, [(0, 1)])
         assert bfs_distances(g, 0) == [0, 1, None]
 
+    def test_source_out_of_range(self):
+        g = generate_family("path", 3)
+        with pytest.raises(VertexOutOfRange) as err:
+            bfs_distances(g, g.n)
+        assert str(err.value) == "source 3 outside 0..2"
+
 
 class TestFileFormat:
     def test_dumps_wheel4(self):
@@ -503,6 +534,14 @@ class TestFileFormat:
         assert (h.n, h.edges, h.adj, h.degrees) == (g.n, g.edges, g.adj, g.degrees)
         assert h == g and hash(h) == hash(g)
         assert_one_object_per_vertex(h)
+
+    @pytest.mark.parametrize("n,pairs", [(3, [(0, True)]), (True, []), (2, [(False, True)])])
+    def test_int_subclass_ends_round_trip(self, n, pairs):
+        """Each number is written with ``%d``, so a bool end writes as its int."""
+        g = Graph(n, pairs)
+        text = dumps(g)
+        assert "True" not in text and "False" not in text
+        assert loads(text) == g
 
     def test_comments_and_blanks_ignored(self):
         g = loads("# a comment\n\nn 3\n0 1\n# another\n1 2\n")
@@ -551,10 +590,10 @@ class TestFileFormat:
             assert list(graph._lines(text)) == text.splitlines()
 
     @pytest.mark.parametrize("text,message", [
-        # Each token is known by the last line, which checks only the self-loop.
+        # Each token was met on an earlier line.
         ("n 3\n0 1\n1 2\n1 1\n", "line 4: self-loop at vertex 1"),
         ("n 400\n0 1\n300 301\n301 300\n300 300\n", "line 5: self-loop at vertex 300"),
-        # One known token beside a new one: both are checked as on a first line.
+        # A token met before beside a new one.
         ("n 3\n0 1\n1 2\n2 3\n", "line 4: edge (2, 3) outside 0..2"),
         ("n 3\n0 1\n1 2\n3 2\n", "line 4: edge (3, 2) outside 0..2"),
         ("n 3\n0 1\n1 -1\n", "line 3: edge (1, -1) outside 0..2"),
@@ -568,6 +607,23 @@ class TestFileFormat:
         with pytest.raises(GraphFileError) as err:
             loads(text)
         assert str(err.value) == message
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_files())
+    @example((3, [(0, 1), (1, 1)], "n 3\n0 1\n+1 01\n", [2, 3]))
+    @example((3, [(0, 1), (1, 3)], "n 3\n0 1\n\n01 +3\n", [2, 4]))
+    def test_reader_refuses_what_the_constructor_refuses(self, case):
+        """The file of a pair list fails as ``Graph`` of it, on the first bad pair's line."""
+        n, pairs, text, lines = case
+        bad = [i for i, (u, v) in enumerate(pairs) if u == v or not (0 <= u < n and 0 <= v < n)]
+        try:
+            g = Graph(n, pairs)
+        except (SelfLoop, VertexOutOfRange) as exc:
+            with pytest.raises(GraphFileError) as err:
+                loads(text)
+            assert str(err.value) == f"line {lines[bad[0]]}: {exc}"
+        else:
+            assert not bad and loads(text) == g
 
     @pytest.mark.parametrize("base", [1, 300])
     def test_aliases_read_as_one_vertex(self, base):
@@ -591,9 +647,10 @@ class TestFileFormat:
 
         This G(2000, 10^4) graph traces at about 0.5 MB, with its edges as two
         columns of vertex ints.  Reading it peaks at about 1.7 times that, with
-        one int per distinct token, the lines split a slice at a time and each
-        checked pair handed to the constructor as its line is read; with the
-        reader's pairs held beside the constructor's columns it was 2.05 times.
+        the lines split a slice at a time and each pair handed to the
+        constructor as its line is read, with or without one int per distinct
+        token; with the reader's pairs held beside the constructor's columns it
+        was 2.05 times.
         With a tuple per edge the graph traced at about 1 MB, and reading it
         peaked at 2.2 times that with an int per token, a tuple per edge in the
         reader and another in the constructor, all the file's lines split at
