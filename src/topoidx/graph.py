@@ -11,6 +11,7 @@ stable.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Iterable
 from itertools import islice, repeat
@@ -303,7 +304,23 @@ def _lines(text: str):
         start = end
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(token: str) -> int:
+    """``int(token)`` for an ASCII ``[+-]?[0-9]+`` token; ValueError for any other.
+
+    ``int()`` also takes ``_`` between digits and any Unicode decimal digit.
+    On ASCII text without ``_`` it takes exactly these tokens, so ``loads``
+    calls ``int`` itself there.
+    """
+    if _DECIMAL.fullmatch(token) is None:
+        raise ValueError(token)
+    return int(token)
+
+
 def loads(text: str) -> Graph:
+    number = int if text.isascii() and "_" not in text else _decimal
     lines = enumerate(_lines(text), start=1)
     for lineno, raw in lines:
         fields = raw.split()
@@ -312,7 +329,7 @@ def loads(text: str) -> Graph:
         if len(fields) != 2 or fields[0] != "n":
             raise GraphFileError(f"line {lineno}: expected 'n <count>', got {raw!r}")
         try:
-            n = int(fields[1])
+            n = number(fields[1])
         except ValueError:
             raise GraphFileError(f"line {lineno}: vertex count {fields[1]!r} is not an integer")
         if n > MAX_VERTICES:
@@ -322,14 +339,14 @@ def loads(text: str) -> Graph:
             raise GraphFileError(f"line {lineno}: vertex count {n} is negative")
         read = [lineno]  # the number of the last line read
         try:
-            return Graph(n, _edge_lines(lines, read))
+            return Graph(n, _edge_lines(lines, read, number))
         except (SelfLoop, VertexOutOfRange) as exc:  # refused as its line was read
             raise GraphFileError(f"line {read[0]}: {exc}") from None
     raise GraphFileError("missing 'n <count>' header line")
 
 
-def _edge_lines(lines, read: list):
-    """Each edge line's pair of ints, with ``read[0]`` set to its line number.
+def _edge_lines(lines, read: list, number):
+    """Each edge line's pair of ints, read by ``number``, with ``read[0]`` set to its line number.
 
     The constructor checks each pair for a self-loop and its range, and keeps
     the first int of each vertex.  A memo from token to int read the
@@ -343,7 +360,7 @@ def _edge_lines(lines, read: list):
             raise GraphFileError(f"line {read[0]}: expected 'u v', got {raw!r}")
         a, b = fields
         try:
-            u, v = int(a), int(b)
+            u, v = number(a), number(b)
         except ValueError:
             raise GraphFileError(f"line {read[0]}: endpoints {raw!r} are not integers")
         yield u, v

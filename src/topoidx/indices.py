@@ -32,7 +32,7 @@ import re
 from collections import namedtuple
 from fractions import Fraction
 from functools import reduce
-from itertools import product, repeat, starmap
+from itertools import islice, product, repeat, starmap
 
 from .errors import InverseUndefined, UnknownIndexName, UnsupportedEvaluation
 from .exact import (
@@ -258,7 +258,7 @@ class _Kernel:
         self.counts = tuple(census.values())
         self.zero = None
         if 0 in self.values:
-            pair = list(census)[self.values.index(0)]
+            pair = next(islice(census, self.values.index(0), None))
             self.zero = first_edge_of_class(g, source, pair)
         self.powers = None
 

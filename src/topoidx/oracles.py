@@ -515,20 +515,28 @@ def _family_points(family: str, lo: int, hi: int) -> Iterable[tuple[dict, tuple]
             yield {"n": n}, (name, n)
 
 
-def _check_points(graph, points) -> Iterable[OracleResult]:
-    """The result of each (entry, params) point of ``points`` on ``graph``."""
-    for entry, params in points:
-        point = tuple(sorted(params.items()))
-        try:
-            direct = evaluate(graph, entry.index)
-            expected = entry.eval(**params)
-        except GraphTooLarge:
-            continue  # past the exhaustive domination solver's reach
-        except TopoidxError as exc:
-            yield OracleResult(entry.id, point, "", "", f"ERROR:{type(exc).__name__}")
-            continue
-        verdict = CONFIRMED if expected == direct else DISCREPANT
-        yield OracleResult(entry.id, point, render_value(expected), render_value(direct), verdict)
+def _check_points(graph, points: dict) -> Iterable[OracleResult]:
+    """The result of each entry at each point of ``graph``'s grid points.
+
+    ``points`` maps a point tuple to (params, entries).  Every result at a
+    point holds that one tuple, and a CONFIRMED result holds one rendered
+    string as both of its values.
+    """
+    for point, (params, entries) in points.items():
+        for entry in entries:
+            try:
+                direct = evaluate(graph, entry.index)
+                expected = entry.eval(**params)
+            except GraphTooLarge:
+                continue  # past the exhaustive domination solver's reach
+            except TopoidxError as exc:
+                yield OracleResult(entry.id, point, "", "", f"ERROR:{type(exc).__name__}")
+                continue
+            text = render_value(direct)
+            if expected == direct:
+                yield OracleResult(entry.id, point, text, text, CONFIRMED)
+            else:
+                yield OracleResult(entry.id, point, render_value(expected), text, DISCREPANT)
 
 
 def run_verification(
@@ -540,11 +548,13 @@ def run_verification(
     """Evaluate every selected oracle against direct computation.
 
     Each (oracle, parameter point) pair yields one result; evaluation errors
-    become ``ERROR:`` verdict rows instead of aborting the run.  The selected
-    points are grouped by the ``generate_family`` call that builds their
-    graph, so each graph is built once, evaluated at all its points and
-    dropped before the next one is built.  Results are sorted by id and
-    parameters so reports are deterministic.
+    become ``ERROR:`` verdict rows instead of aborting the run.  Each
+    selected family's grid is built once, as (params, point, spec) triples.
+    The selected points are grouped by the ``generate_family`` call that
+    builds their graph, and then by point, so each graph is built once,
+    evaluated at all its points and dropped before the next one is built,
+    and every result at a point shares one params dict and one point tuple.
+    Results are sorted by id and parameters so reports are deterministic.
     """
     family_filter = set(families) if families else None
     id_filter = set(ids) if ids else None
@@ -553,16 +563,23 @@ def run_verification(
         unknown = sorted((given or set()) - set(known))
         if unknown:
             raise ParamsOutOfStatedRange(f"unknown oracle {kind} {', '.join(map(repr, unknown))}")
-    points_by_spec: dict[tuple, list] = {}
+    grids: dict[str, list] = {}
+    points_by_spec: dict[tuple, dict] = {}
     for oracle_id in sorted(_ENTRIES):
         entry = _ENTRIES[oracle_id]
         if family_filter and entry.family not in family_filter:
             continue
         if id_filter and oracle_id not in id_filter:
             continue
-        for params, spec in _family_points(entry.family, lo, hi):
-            if _RANGES[entry.range_text](**params):
-                points_by_spec.setdefault(spec, []).append((entry, params))
+        grid = grids.get(entry.family)
+        if grid is None:
+            grid = grids[entry.family] = [(params, tuple(sorted(params.items())), spec)
+                                          for params, spec in _family_points(entry.family, lo, hi)]
+        in_range = _RANGES[entry.range_text]
+        for params, point, spec in grid:
+            if in_range(**params):
+                points = points_by_spec.setdefault(spec, {})
+                points.setdefault(point, (params, []))[1].append(entry)
     results = []
     for spec, points in points_by_spec.items():
         results.extend(_check_points(generate_family(*spec), points))

@@ -121,6 +121,14 @@ class TestCompute:
         assert code == 2
         assert "unknown index" in err
 
+    @pytest.mark.parametrize("names", ["RL1,RLKV1exp,NOPE", "NOPE,RL1", "RL1,GRL1(a=2),RL(a=2)"])
+    def test_unknown_index_fails_before_any_evaluation(self, w3_file, capsys, monkeypatch, names):
+        calls = []
+        monkeypatch.setattr(cli, "evaluate", lambda *args: calls.append(args))
+        code, out, err = run_cli(capsys, "compute", w3_file, "--index", names)
+        assert (code, out, calls) == (2, "", [])
+        assert err.startswith("error: unknown index name ")
+
     def test_all_covers_registry(self, w3_file, capsys):
         code, out, _ = run_cli(capsys, "compute", w3_file, "--all", "--format", "csv")
         assert code == 0

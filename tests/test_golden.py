@@ -50,6 +50,12 @@ def test_verify_csv(argv, digest, capsys):
     assert _sha(_stdout(capsys, "verify", "--format", "csv", *argv)) == digest
 
 
+def test_verify_table(capsys):
+    # The table format sizes each column from every row before it writes one.
+    assert _sha(_stdout(capsys, "verify")) == (
+        "f6ffc8c46e60c7975441a5badd20874159ffc6865d459870a04a79432911fbe4")
+
+
 COMPUTE_ALL = {
     "wheel_4": (generate_family("wheel", 4),
                 "51793ec62c6d188d4216d4129ec7ebbeccbe6017f09a6708f268a01170772a97"),

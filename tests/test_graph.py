@@ -555,6 +555,13 @@ class TestFileFormat:
         ("n 3\n0 3\n", "line 2"),
         ("n 3\n1 1\n", "line 2"),
         ("", "missing"),
+        # int() takes these tokens, but they are not ASCII decimals.
+        ("n １２\n", "line 1"),
+        ("n 1_2\n", "line 1"),
+        ("n 12\n0 1_0\n١ 2\n 3  ４\n", "line 2"),
+        ("n 12\n0 1\n١ 2\n", "line 3"),
+        ("n 12\n0 1\n 3  ４\n", "line 3"),
+        ("# ü\nn 12\n0 1\n1_1 2\n", "line 4"),
     ])
     def test_parse_errors_cite_lines(self, text, fragment):
         with pytest.raises(GraphFileError, match=fragment) as err:
@@ -567,7 +574,21 @@ class TestFileFormat:
             "n 3\n0 3\n": "line 2: edge (0, 3) outside 0..2",
             "n 3\n1 1\n": "line 2: self-loop at vertex 1",
             "": "missing 'n <count>' header line",
+            "n １２\n": "line 1: vertex count '１２' is not an integer",
+            "n 1_2\n": "line 1: vertex count '1_2' is not an integer",
+            "n 12\n0 1_0\n١ 2\n 3  ４\n": "line 2: endpoints '0 1_0' are not integers",
+            "n 12\n0 1\n١ 2\n": "line 3: endpoints '١ 2' are not integers",
+            "n 12\n0 1\n 3  ４\n": "line 3: endpoints ' 3  ４' are not integers",
+            "# ü\nn 12\n0 1\n1_1 2\n": "line 4: endpoints '1_1 2' are not integers",
         }[text]
+
+    @pytest.mark.parametrize("text", ["# ü\nn 3\n+1 02\n0 -0\n", "# a_b\nn 3\n+1 02\n0 -0\n"])
+    def test_ascii_decimals_beside_other_text(self, text):
+        """A non-ASCII or ``_`` character outside the tokens leaves their meaning as it is."""
+        with pytest.raises(GraphFileError) as err:
+            loads(text)
+        assert str(err.value) == "line 4: self-loop at vertex 0"
+        assert loads(text.rsplit("0 -0", 1)[0]).edges == ((1, 2),)
 
     def test_vertex_count_cap(self):
         with pytest.raises(GraphFileError) as err:

@@ -1,6 +1,7 @@
 """Closed-form oracles and the differential verifier."""
 
 import gc
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,52 @@ class TestVerification:
             ({"n": n, "m": m}, ("french_windmill", n, m)) for n in (3, 4, 5) for m in (3, 4)]
         assert list(_family_points("windmill", 3, 20)) == \
             list(_family_points("windmill", 5, 5))
+
+    def test_one_params_tuple_per_grid_point(self):
+        # Each point of these grids names one graph: k1n and star share the
+        # graph at each n, and their point tuple too.
+        results = run_verification(families=["regular", "kmn", "k1n", "star"], lo=3, hi=5)
+        by_point = {}
+        for r in results:
+            assert by_point.setdefault(r.params, r.params) is r.params
+        assert {r.oracle_id.split("/")[1] for r in results} == {"regular", "kmn", "k1n", "star"}
+
+    def test_confirmed_row_holds_one_string(self):
+        results = run_verification(families=["wheel", "cycle"], lo=3, hi=6)
+        confirmed = [r for r in results if r.verdict == "CONFIRMED"]
+        assert confirmed and len(confirmed) < len(results)
+        assert all(r.oracle_value is r.direct_value for r in confirmed)
+
+    def test_one_grid_per_selected_family(self, monkeypatch):
+        calls = []
+
+        def grid(family, lo, hi):
+            calls.append(family)
+            return _family_points(family, lo, hi)
+
+        monkeypatch.setattr(oracles, "_family_points", grid)
+        run_verification(lo=3, hi=3)
+        assert sorted(calls) == sorted({e.family for e in _ENTRIES.values()})
+        calls.clear()
+        run_verification(families=["wheel", "k1n", "star"], ids=None, lo=3, hi=4)
+        assert sorted(calls) == ["k1n", "star", "wheel"]
+
+    def test_traced_peak_of_the_wide_range(self):
+        # Every family but star and k1n (whose domination tables take seconds)
+        # over 3..20: 4,068 results.  A params dict and a point tuple per
+        # (oracle, point) pair and two strings per CONFIRMED row peaked at
+        # 2.5-3.2 MB traced on CPython 3.10-3.13; one of each per point and
+        # one string per CONFIRMED row peak at 1.1-1.6 MB.
+        families = sorted({e.family for e in _ENTRIES.values()} - {"star", "k1n"})
+        vertex_table.cache_clear()
+        tracemalloc.start()
+        try:
+            results = run_verification(families=families, lo=3, hi=20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 4068
+        assert peak < 2_000_000
 
     def test_results_sorted_and_deterministic(self):
         first = run_verification(families=["wheel"], lo=3, hi=6)
